@@ -1,7 +1,8 @@
 //! Statistical validation of remapping functions: uniformity (C2),
 //! avalanche effect (C3) and the weighted scoring of Section V-B.
 
-use crate::circuit::Circuit;
+use crate::circuit::{low_bits, Circuit};
+use crate::compiled::CompiledCircuit;
 use rand::{Rng, SeedableRng};
 
 /// Result of a balls-and-bins uniformity test (constraint C2).
@@ -57,15 +58,12 @@ pub fn uniformity(c: &Circuit, lo: u32, width: u32, lambda: usize, seed: u64) ->
     let bins = 1usize << width;
     let balls = bins * lambda;
     let mut counts = vec![0u32; bins];
+    let fast = CompiledCircuit::new(c);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let in_mask = if c.input_bits() == 128 {
-        u128::MAX
-    } else {
-        (1u128 << c.input_bits()) - 1
-    };
+    let in_mask = low_bits(c.input_bits());
     for _ in 0..balls {
         let x: u128 = rng.gen::<u128>() & in_mask;
-        let y = (c.eval(x) >> lo) & ((1u64 << width) - 1);
+        let y = (fast.eval(x) >> lo) & ((1u64 << width) - 1);
         counts[y as usize] += 1;
     }
     let mean = balls as f64 / bins as f64;
@@ -89,14 +87,11 @@ pub fn uniformity(c: &Circuit, lo: u32, width: u32, lambda: usize, seed: u64) ->
 /// inputs: for each input, every single-bit flip is applied and the output
 /// Hamming distances are aggregated.
 pub fn avalanche(c: &Circuit, samples: usize, seed: u64) -> AvalancheReport {
+    let fast = CompiledCircuit::new(c);
     let n_in = c.input_bits();
     let n_out = c.output_bits();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let in_mask = if n_in == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n_in) - 1
-    };
+    let in_mask = low_bits(n_in);
 
     let mut per_input_means = Vec::with_capacity(samples);
     let mut input_bit_hd = vec![0u64; n_in as usize];
@@ -105,10 +100,10 @@ pub fn avalanche(c: &Circuit, samples: usize, seed: u64) -> AvalancheReport {
 
     for _ in 0..samples {
         let x: u128 = rng.gen::<u128>() & in_mask;
-        let y = c.eval(x);
+        let y = fast.eval(x);
         let mut sum = 0u64;
         for b in 0..n_in {
-            let y2 = c.eval(x ^ (1u128 << b));
+            let y2 = fast.eval(x ^ (1u128 << b));
             let diff = y ^ y2;
             let hd = diff.count_ones() as u64;
             sum += hd;
@@ -166,7 +161,7 @@ pub fn avalanche(c: &Circuit, samples: usize, seed: u64) -> AvalancheReport {
 /// better; used by the generator to select among candidates.
 pub fn score(c: &Circuit, samples: usize, seed: u64) -> f64 {
     let av = avalanche(c, samples, seed);
-    // Uniformity over the low min(output,14) bits (index fields).
+    // Uniformity over the low min(output, 10) bits (index fields).
     let w = c.output_bits().min(10);
     let un = uniformity(c, 0, w, 16, seed ^ 0x5eed);
     let cost = c.cost();

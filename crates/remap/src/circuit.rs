@@ -37,6 +37,37 @@ impl Layer {
         }
     }
 
+    /// Applies the layer to a state whose bits above the layer's input
+    /// width are zero. This is the reference semantics: [`Circuit::eval`]
+    /// chains it, and [`crate::CompiledCircuit`] tabulates it.
+    pub(crate) fn apply(&self, x: u128) -> u128 {
+        match self {
+            Layer::Substitute(boxes) => {
+                let mut y = 0u128;
+                for &(off, kind) in boxes {
+                    let w = kind.width();
+                    let v = ((x >> off) as u8) & ((1u16 << w) - 1) as u8;
+                    y |= (kind.apply(v) as u128) << off;
+                }
+                y
+            }
+            Layer::Permute(perm) => {
+                let mut y = 0u128;
+                for (i, &src) in perm.iter().enumerate() {
+                    y |= ((x >> src) & 1) << i;
+                }
+                y
+            }
+            Layer::Compress(masks) => {
+                let mut y = 0u128;
+                for (i, &m) in masks.iter().enumerate() {
+                    y |= (((x & m).count_ones() & 1) as u128) << i;
+                }
+                y
+            }
+        }
+    }
+
     /// Series-transistor depth contributed by this layer.
     pub fn depth(&self) -> u32 {
         match self {
@@ -68,6 +99,15 @@ impl Layer {
             Layer::Permute(perm) => max_crossings(perm),
             _ => 0,
         }
+    }
+}
+
+/// The mask of the low `width` bits of a state (`width` ≤ 128).
+pub(crate) fn low_bits(width: u32) -> u128 {
+    if width == 128 {
+        u128::MAX
+    } else {
+        (1u128 << width) - 1
     }
 }
 
@@ -182,11 +222,7 @@ impl Circuit {
                         }
                         covered |= m;
                     }
-                    let full = if width == 128 {
-                        u128::MAX
-                    } else {
-                        (1u128 << width) - 1
-                    };
+                    let full = low_bits(width);
                     if covered != full {
                         return Err(CircuitError(format!(
                             "layer {li}: S-boxes do not tile the {width}-bit state"
@@ -214,11 +250,7 @@ impl Circuit {
                             "layer {li}: compression must strictly reduce width"
                         )));
                     }
-                    let full = if width == 128 {
-                        u128::MAX
-                    } else {
-                        (1u128 << width) - 1
-                    };
+                    let full = low_bits(width);
                     for (i, &m) in masks.iter().enumerate() {
                         if m == 0 {
                             return Err(CircuitError(format!(
@@ -262,39 +294,11 @@ impl Circuit {
 
     /// Evaluates the circuit on `input` (low `input_bits` bits are used).
     pub fn eval(&self, input: u128) -> u64 {
-        let mut x = if self.input_bits == 128 {
-            input
-        } else {
-            input & ((1u128 << self.input_bits) - 1)
-        };
+        let mut x = input & low_bits(self.input_bits);
         let mut width = self.input_bits;
         for layer in &self.layers {
-            match layer {
-                Layer::Substitute(boxes) => {
-                    let mut y = 0u128;
-                    for &(off, kind) in boxes {
-                        let w = kind.width();
-                        let v = ((x >> off) as u8) & ((1u16 << w) - 1) as u8;
-                        y |= (kind.apply(v) as u128) << off;
-                    }
-                    x = y;
-                }
-                Layer::Permute(perm) => {
-                    let mut y = 0u128;
-                    for (i, &src) in perm.iter().enumerate() {
-                        y |= ((x >> src) & 1) << i;
-                    }
-                    x = y;
-                }
-                Layer::Compress(masks) => {
-                    let mut y = 0u128;
-                    for (i, &m) in masks.iter().enumerate() {
-                        y |= (((x & m).count_ones() & 1) as u128) << i;
-                    }
-                    x = y;
-                    width = masks.len() as u32;
-                }
-            }
+            x = layer.apply(x);
+            width = layer.output_width(width);
         }
         debug_assert_eq!(width, self.output_bits);
         x as u64

@@ -1,7 +1,7 @@
 //! Property tests for the remap circuits and generator.
 
 use proptest::prelude::*;
-use stbpu_remap::{Circuit, Generator, HwConstraints, Layer, RemapSet, SboxKind};
+use stbpu_remap::{Circuit, CompiledCircuit, Generator, HwConstraints, Layer, RemapSet, SboxKind};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -62,6 +62,26 @@ proptest! {
             prop_assert!(cost.total_transistors <= cs.max_total_transistors);
             prop_assert_eq!(c.input_bits(), inb);
             prop_assert_eq!(c.output_bits(), outb);
+        }
+    }
+
+    /// The fused compiled form evaluates exactly like the interpreted
+    /// circuit for any generated geometry, including inputs wider than
+    /// 64 bits and intermediate widths with 3-bit tail boxes.
+    #[test]
+    fn compiled_matches_interpreted_on_generated_circuits(
+        inb in 12u32..=128,
+        outb in 3u32..=40,
+        seed in any::<u64>(),
+        inputs in proptest::collection::vec(any::<u128>(), 16..64),
+    ) {
+        prop_assume!(outb < inb);
+        let cs = HwConstraints::for_geometry(inb, outb);
+        if let Ok(c) = Generator::new(cs, seed).generate(1, 8) {
+            let fast = CompiledCircuit::new(&c);
+            for x in inputs {
+                prop_assert_eq!(fast.eval(x), c.eval(x));
+            }
         }
     }
 }
