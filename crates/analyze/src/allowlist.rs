@@ -7,9 +7,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! lint = "lock-scope"
-//! path = "crates/serve/src/server.rs"
-//! pattern = "s.write_all(&frame)"
+//! lint = "panic-freedom"
+//! path = "crates/trace/src/cbp.rs"
+//! pattern = "header[0]"
 //! reason = "why this specific site is safe"
 //! ```
 //!
@@ -197,15 +197,15 @@ mod tests {
 # suppressions for intentional patterns
 [[allow]]
 lint = "lock-scope"
-path = "crates/serve/src/server.rs"
+path = "crates/engine/src/parallel.rs"
 pattern = "s.write_all(&frame)"
-reason = "flush serializes writers; SO_SNDTIMEO bounds the hold time"
+reason = "one writer per stream; a write timeout bounds the hold time"
 "#;
         let al = Allowlist::parse(text).unwrap();
         assert_eq!(al.entries.len(), 1);
         let f = Finding {
             lint: LintId::LockScope,
-            file: "crates/serve/src/server.rs".into(),
+            file: "crates/engine/src/parallel.rs".into(),
             line: 10,
             col: 5,
             message: "blocking".into(),
@@ -213,7 +213,7 @@ reason = "flush serializes writers; SO_SNDTIMEO bounds the hold time"
         };
         assert!(al.entries[0].matches(&f));
         let other = Finding {
-            file: "crates/serve/src/client.rs".into(),
+            file: "crates/engine/src/shard.rs".into(),
             ..f.clone()
         };
         assert!(!al.entries[0].matches(&other), "path must match exactly");

@@ -4,14 +4,14 @@
 //! A hand-rolled, dependency-free lint engine that walks every workspace
 //! crate's `src/` tree through a lightweight Rust tokenizer
 //! ([`tokenizer`]) and a set of token-window lints ([`lints`]) enforcing
-//! the invariants the OAE and serve gates rely on:
+//! the invariants the OAE and byte-parity gates rely on:
 //!
 //! | lint | invariant |
 //! |------|-----------|
 //! | `lock-scope` | no blocking I/O while a `Mutex` guard is live |
 //! | `determinism` | no hash-ordered iteration in report paths |
 //! | `wall-clock` | no host-clock reads in OAE-affecting crates |
-//! | `panic-freedom` | no panicking constructs in serve request paths |
+//! | `panic-freedom` | no panicking constructs in decoder and resume paths |
 //!
 //! Findings are suppressible only through the checked-in
 //! `ci/analyze-allow.toml` ([`allowlist`]), where every entry carries a
@@ -337,9 +337,9 @@ mod tests {
         assert_eq!(f[0].lint, LintId::WallClock);
         // … but the same code in the CLI (progress reporting) is fine.
         assert!(analyze_file("crates/cli/src/lib.rs", src).is_empty());
-        // unwrap in the daemon fires panic-freedom; in core it does not.
+        // unwrap in a decoder fires panic-freedom; in core it does not.
         let src = "fn t(v: &[u8]) { v.first().unwrap(); }";
-        assert_eq!(analyze_file("crates/serve/src/server.rs", src).len(), 1);
+        assert_eq!(analyze_file("crates/trace/src/cbp.rs", src).len(), 1);
         assert!(analyze_file("crates/core/src/manager.rs", src).is_empty());
     }
 
@@ -377,7 +377,7 @@ mod tests {
             files_scanned: 2,
             findings: vec![Finding {
                 lint: LintId::LockScope,
-                file: "crates/serve/src/server.rs".into(),
+                file: "crates/trace/src/cbp.rs".into(),
                 line: 10,
                 col: 9,
                 message: "blocking call".into(),
@@ -387,7 +387,7 @@ mod tests {
             unused_allows: Vec::new(),
         };
         let text = report.render_human();
-        assert!(text.contains("crates/serve/src/server.rs:10:9: lock-scope:"));
+        assert!(text.contains("crates/trace/src/cbp.rs:10:9: lock-scope:"));
         assert!(text.contains("1 finding (0 suppressed by allowlist) across 2 files"));
     }
 }

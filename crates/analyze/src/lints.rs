@@ -1,12 +1,12 @@
 //! The lint passes: token-window pattern matching with brace/scope
 //! tracking over [`crate::tokenizer`] output.
 //!
-//! Each lint encodes one invariant the OAE / serving gates depend on but
-//! the compiler cannot check:
+//! Each lint encodes one invariant the OAE and byte-parity gates depend
+//! on but the compiler cannot check:
 //!
 //! * **lock-scope** — no blocking call while a `Mutex` guard binding is
-//!   live in scope (the PR 6 daemon-wedge class: socket I/O under the
-//!   serve registry lock).
+//!   live in scope (I/O under a shared lock stalls every thread waiting
+//!   on it).
 //! * **determinism** — no iteration over `HashMap`/`HashSet` in crates
 //!   whose iteration order can reach serialized or user-visible output;
 //!   use `BTreeMap`/`BTreeSet` or sort before emitting.
@@ -14,9 +14,10 @@
 //!   crates: simulated time must come from the event stream, never the
 //!   host clock.
 //! * **panic-freedom** — no `unwrap`/`expect`/`panic!`-family macros or
-//!   unchecked (non-range) indexing in the serve request/decode paths: a
-//!   panic there kills a worker or reader thread and wedges live
-//!   sessions.
+//!   unchecked (non-range) indexing in the decoders of on-disk formats
+//!   (`.stck`, `.stbp`, BBV, CBP, ITTAGE snapshots) and the resume path:
+//!   hostile or truncated bytes must become a positioned error, never a
+//!   panic.
 //!
 //! `#[cfg(test)]` scopes are skipped for every lint (tests may unwrap),
 //! and doc comments are comments to the tokenizer, so examples never
@@ -35,7 +36,7 @@ pub enum LintId {
     Determinism,
     /// Host-clock read in an OAE-affecting crate.
     WallClock,
-    /// Panicking construct in a daemon request/decode path.
+    /// Panicking construct in a decoder or resume path.
     PanicFreedom,
 }
 
@@ -72,7 +73,7 @@ impl LintId {
             }
             LintId::WallClock => "no Instant::now/SystemTime in OAE-affecting crates",
             LintId::PanicFreedom => {
-                "no unwrap/expect/panic!/unchecked indexing in serve request paths"
+                "no unwrap/expect/panic!/unchecked indexing in decoder and resume paths"
             }
         }
     }
@@ -81,9 +82,8 @@ impl LintId {
     pub fn rationale(self) -> &'static str {
         match self {
             LintId::LockScope => {
-                "a write to a stalled peer under the serve registry lock wedged every \
-                 connection (the PR 6 daemon bug); queue under the lock, do I/O after \
-                 releasing it"
+                "a blocking call under a shared lock stalls every thread waiting on \
+                 it; queue under the lock, do I/O after releasing it"
             }
             LintId::Determinism => {
                 "every PR is gated on bit-identical OAE/report output; hash iteration \
@@ -95,9 +95,9 @@ impl LintId {
                  seed; a host-clock read makes output machine-dependent"
             }
             LintId::PanicFreedom => {
-                "a panic in a request/decode path kills a worker or reader thread and \
-                 silently wedges unrelated live sessions; malformed input must become \
-                 a positioned Error frame instead"
+                "checkpoint, resume, .stbp, BBV, CBP and ITTAGE-snapshot decoders read \
+                 bytes from disk; a truncated or corrupt file must become a positioned \
+                 error, never a panic that loses a run or aborts a CI gate"
             }
         }
     }
@@ -108,18 +108,16 @@ impl LintId {
         match self {
             // Any crate may grow a lock; the invariant is universal.
             LintId::LockScope => &[],
-            // Crates whose collections can feed reports, traces or wire
-            // frames that CI diffs byte-for-byte. `crates/phases` joined
-            // in PR 9: k-means centroid updates and representative
-            // selection order anything in `.stbp`, which CI byte-diffs.
-            // PR 10 addition: `crates/predictors` — allocator randomness
+            // Crates whose collections can feed reports or traces that
+            // CI diffs byte-for-byte. In `crates/phases`, k-means centroid
+            // updates and representative selection order anything in
+            // `.stbp`. In `crates/predictors`, allocator randomness
             // (ITTAGE/TAGE lfsr) must stay seeded-deterministic, or OAE
             // baselines and checkpoint bit-identity gates break.
             LintId::Determinism => &[
                 "crates/sim/src/",
                 "crates/engine/src/",
                 "crates/trace/src/",
-                "crates/serve/src/",
                 "crates/core/src/",
                 "crates/phases/src/",
                 "crates/predictors/src/",
@@ -148,26 +146,20 @@ impl LintId {
                 "crates/phases/src/",
                 "crates/predictors/src/",
             ],
-            // The daemon request/decode paths and the client library that
-            // multiplexes live sessions, plus the checkpoint codecs: a
-            // truncated or corrupt .stck / completed.jsonl must decode to
-            // a positioned error, never a panic — a panic during grid
-            // resume would lose the completed work it exists to protect.
-            // `bench.rs` (a harness that may panic on setup failure) is
-            // deliberately out of scope.
-            // PR 9 additions: the `.stbp` codec (a truncated or corrupt
-            // phase file must decode to a positioned PhaseError) and the
-            // BBV extractor, which runs inside the bench/CI pipeline
-            // where a panic aborts the whole figure-estimation gate.
-            // PR 10 additions: the CBP trace decoder (arbitrary
-            // third-party captures must decode totally — truncation or
-            // corruption is a positioned CbpError, never a panic) and the
-            // ITTAGE predictor, whose snapshot loader consumes `.stck`
-            // images from disk.
+            // The decoders of on-disk bytes and the resume path that
+            // consumes them:
+            // - the checkpoint codecs: a truncated or corrupt .stck /
+            //   completed.jsonl must decode to a positioned error — a
+            //   panic during grid resume would lose the completed work it
+            //   exists to protect;
+            // - the `.stbp` codec (a positioned PhaseError) and the BBV
+            //   extractor, which runs inside the CI figure-estimation
+            //   gate;
+            // - the CBP trace decoder: arbitrary third-party captures
+            //   must decode totally, truncation is a positioned CbpError;
+            // - the ITTAGE predictor, whose snapshot loader consumes
+            //   `.stck` images from disk.
             LintId::PanicFreedom => &[
-                "crates/serve/src/server.rs",
-                "crates/serve/src/protocol.rs",
-                "crates/serve/src/client.rs",
                 "crates/sim/src/checkpoint.rs",
                 "crates/engine/src/resume.rs",
                 "crates/phases/src/file.rs",
@@ -421,8 +413,8 @@ fn panic_freedom(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                         LintId::PanicFreedom,
                         &ctx.toks[i + 1],
                         format!(
-                            "`.{m}()` can panic in a request/decode path — return a \
-                             positioned error (Error frame / Err) instead"
+                            "`.{m}()` can panic in a decode path — return a \
+                             positioned error (Err) instead"
                         ),
                     ));
                 }
@@ -438,8 +430,8 @@ fn panic_freedom(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 LintId::PanicFreedom,
                 t,
                 format!(
-                    "`{}!` panics in a request/decode path — handle the case and \
-                     answer an Error frame instead",
+                    "`{}!` panics in a decode path — handle the case and return \
+                     a positioned error instead",
                     t.text
                 ),
             ));
@@ -478,7 +470,7 @@ fn panic_freedom(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                             ctx.finding(
                                 LintId::PanicFreedom,
                                 t,
-                                "unchecked indexing can panic in a request/decode path — \
+                                "unchecked indexing can panic in a decode path — \
                              use `.get()` and handle the miss"
                                     .to_string(),
                             ),
@@ -667,8 +659,7 @@ fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 /// Methods that block (I/O, joins, sleeps) and must not run while a lock
 /// guard is live. `send` is deliberately absent: `mpsc::Sender::send`
-/// never blocks, and queue-under-lock is exactly the pattern the serve
-/// daemon uses to stay safe.
+/// never blocks, so queue-under-lock is the safe pattern.
 const BLOCKING_METHODS: &[&str] = &[
     "write_all",
     "write_fmt",

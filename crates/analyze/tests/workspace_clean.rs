@@ -44,12 +44,16 @@ fn live_workspace_analyzes_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // The intentional write-under-lock sites are suppressed, not absent —
-    // if this count drifts the allowlist and code have desynchronized.
-    assert_eq!(
-        report.suppressed.len(),
-        2,
-        "expected exactly the two documented lock-scope suppressions:\n{:?}",
+    // Every lint holds without exceptions: nothing is suppressed and the
+    // allowlist is empty.
+    assert!(
+        report.suppressed.is_empty(),
+        "expected no suppressions:\n{:?}",
         report.suppressed
+    );
+    assert!(
+        allow.entries.is_empty(),
+        "expected an empty allowlist, found {} entries",
+        allow.entries.len()
     );
 }

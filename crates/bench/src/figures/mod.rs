@@ -3,9 +3,9 @@
 //!
 //! Each submodule exposes `pub fn run(&Knobs)` printing the same
 //! rows/series the paper reports. [`ALL`] is the single source of truth
-//! for the set of figures — the thin `src/bin/` shims, the `stbpu figures`
-//! CLI subcommand and its `--help` text all resolve through it, so a new
-//! figure registered here is reachable everywhere at once.
+//! for the set of figures — the `stbpu figures` CLI subcommand and its
+//! `--help` text both resolve through it, so a new figure registered here
+//! is reachable everywhere at once.
 
 pub mod ablations;
 pub mod fig2;

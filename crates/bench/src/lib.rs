@@ -1,11 +1,10 @@
 //! Shared helpers and figure implementations for the paper harness.
 //!
 //! Every figure/table of the paper's evaluation lives in [`figures`] as a
-//! library function taking a [`Knobs`] scale configuration; the thin
-//! binaries under `src/bin/` and the `stbpu figures` CLI subcommand both
-//! dispatch into the same functions, so their outputs are bit-identical
-//! for identical knobs. Scale knobs come from environment variables so CI
-//! can run quick passes while full runs use paper-scale traces:
+//! library function taking a [`Knobs`] scale configuration, which the
+//! `stbpu figures` CLI subcommand dispatches into. Full-scale knobs come
+//! from environment variables so CI can run quick passes while full runs
+//! use paper-scale traces:
 //!
 //! * `STBPU_BRANCHES` — branches per workload trace (default 120 000),
 //! * `STBPU_SEED` — global seed (default 42),
@@ -40,9 +39,9 @@ pub fn seed() -> u64 {
 
 /// Scale configuration shared by every figure implementation.
 ///
-/// The figure binaries use [`Knobs::from_env`] (preserving the historical
-/// `STBPU_*` environment interface); `stbpu figures --quick` uses
-/// [`Knobs::quick`], a deterministic scaled-down pass for CI.
+/// `stbpu figures` uses [`Knobs::from_env`] (the `STBPU_*` environment
+/// interface) by default and [`Knobs::quick`], a deterministic
+/// scaled-down pass for CI, under `--quick`.
 #[derive(Clone, Debug)]
 pub struct Knobs {
     /// Branches per workload trace.

@@ -1,8 +1,7 @@
 //! `stbpu bench` — the deterministic perf harness behind CI's regression
 //! gate.
 //!
-//! Three suites share one fixed scheme set (a fourth, `serve`, drives
-//! the socket daemon instead — see [`run_serve`]):
+//! The suites:
 //!
 //! * `--suite default` streams each scheme once through a batched
 //!   `SimSession`, measuring wall-clock time, branches/second and OAE.
@@ -109,7 +108,6 @@ enum Suite {
     Throughput,
     Ingest,
     Shard,
-    Serve,
     Simpoint,
 }
 
@@ -187,21 +185,13 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
         Some("throughput") => Suite::Throughput,
         Some("ingest") => Suite::Ingest,
         Some("shard") => Suite::Shard,
-        Some("serve") => Suite::Serve,
         Some("simpoint") => Suite::Simpoint,
         Some(other) => {
             return Err(Failure::Usage(format!(
-                "unknown suite '{other}' (default|throughput|ingest|shard|serve|simpoint)"
+                "unknown suite '{other}' (default|throughput|ingest|shard|simpoint)"
             )))
         }
     };
-    let clients_opt: Option<usize> = a.opt_parse("--clients", "an integer")?;
-    let sessions_opt: Option<usize> = a.opt_parse("--sessions", "an integer")?;
-    if suite != Suite::Serve && (clients_opt.is_some() || sessions_opt.is_some()) {
-        return Err(Failure::Usage(
-            "--clients/--sessions apply only to the serve suite".to_string(),
-        ));
-    }
     let estimate_only = a.flag("--estimate-only");
     let update_reference = a.opt("--update-reference")?;
     if suite != Suite::Simpoint && (estimate_only || update_reference.is_some()) {
@@ -213,10 +203,6 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
     // The ingest suite defaults to the paper-scale 10M-branch trace the
     // format was built for; everything else keeps the 2M default.
     let default_branches = match (suite, quick) {
-        // The serve suite streams branches × clients × sessions, so its
-        // per-session defaults sit well below the single-run suites.
-        (Suite::Serve, true) => 50_000,
-        (Suite::Serve, false) => 200_000,
         // The shard and simpoint suites are the paper-scale 10M-branch
         // comparisons; --quick keeps the same shape at CI size.
         (Suite::Shard | Suite::Simpoint, true) => 1_000_000,
@@ -245,27 +231,6 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
     let w = Workload::Named(workload.clone());
     w.validate().map_err(Failure::from)?;
     let registry = ModelRegistry::standard();
-
-    if suite == Suite::Serve {
-        if update.is_some() {
-            return Err(Failure::Usage(
-                "--update-baseline applies to the default/throughput suites; the serve \
-                 suite hard-gates every streamed report bit-identical against an offline \
-                 run in-process"
-                    .to_string(),
-            ));
-        }
-        return run_serve(
-            &workload,
-            branches,
-            seed,
-            clients_opt.unwrap_or(8),
-            sessions_opt.unwrap_or(2),
-            &out_dir,
-            json,
-            check.as_deref(),
-        );
-    }
 
     if suite == Suite::Simpoint {
         if update.is_some() {
@@ -379,7 +344,7 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
                 rows.join(",")
             )?;
         }
-        Suite::Ingest | Suite::Shard | Suite::Serve | Suite::Simpoint => {
+        Suite::Ingest | Suite::Shard | Suite::Simpoint => {
             unreachable!("these suites return early")
         }
     }
@@ -392,7 +357,7 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
             match suite {
                 Suite::Default => "default suite",
                 Suite::Throughput => "throughput suite: batched vs single-event",
-                Suite::Ingest | Suite::Shard | Suite::Serve | Suite::Simpoint =>
+                Suite::Ingest | Suite::Shard | Suite::Simpoint =>
                     unreachable!("these suites return early"),
             }
         );
@@ -429,7 +394,7 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
                 }
                 eprintln!("wrote BENCH_throughput.json to {out_dir}/ (paths bit-identical)");
             }
-            Suite::Ingest | Suite::Shard | Suite::Serve | Suite::Simpoint => {
+            Suite::Ingest | Suite::Shard | Suite::Simpoint => {
                 unreachable!("these suites return early")
             }
         }
@@ -451,7 +416,7 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
                 // before the gate hardens (see CONTRIBUTING.md).
                 throughput_drift_notes("throughput", &path, &records);
             }
-            Suite::Ingest | Suite::Shard | Suite::Serve | Suite::Simpoint => {
+            Suite::Ingest | Suite::Shard | Suite::Simpoint => {
                 unreachable!("these suites return early")
             }
         }
@@ -958,8 +923,8 @@ fn run_shard_in(
         eprintln!("wrote BENCH_shard.json to {out_dir}/ (every sharded report bit-identical)");
     }
 
-    // Like serve: correctness is hard-gated in-run; wall-clock never
-    // gates against a baseline.
+    // Correctness is hard-gated in-run; wall-clock never gates against a
+    // baseline.
     if let Some(path) = check {
         eprintln!(
             "shard suite note (warn-only): no baseline gate for shard wall-clock \
@@ -1394,95 +1359,6 @@ fn check_simpoint_reference(
     Ok(())
 }
 
-/// The serve suite: the socket daemon on loopback, a concurrent client
-/// fleet over real TCP, and a hard in-run bit-parity gate (every
-/// streamed report vs one offline run of the same events — see
-/// [`stbpu_serve::run_bench`]). Emits one `BENCH_serve.json` trajectory
-/// record; wall-clock numbers are machine-dependent and never gate.
-#[allow(clippy::too_many_arguments)]
-fn run_serve(
-    workload: &str,
-    branches: usize,
-    seed: u64,
-    clients: usize,
-    sessions_per_client: usize,
-    out_dir: &str,
-    json: bool,
-    check: Option<&str>,
-) -> Result<(), Failure> {
-    let cfg = stbpu_serve::BenchConfig {
-        clients,
-        sessions_per_client,
-        branches,
-        workload: workload.to_string(),
-        seed,
-        ..stbpu_serve::BenchConfig::default()
-    };
-    eprintln!(
-        "serve suite: {clients} clients x {sessions_per_client} sessions x {branches} \
-         branches over loopback…"
-    );
-    let r = stbpu_serve::run_bench(&cfg).map_err(Failure::Runtime)?;
-
-    let body = format!(
-        "{{\"suite\":\"serve\",\"workload\":{},\"model\":{},\"protection\":\"{}\",\
-         \"branches\":{branches},\"seed\":{seed},\"clients\":{},\"sessions\":{},\
-         \"total_branches\":{},\"elapsed_s\":{:.6},\"sessions_per_s\":{:.3},\
-         \"branches_per_s\":{:.0},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\"oae\":{}}}",
-        escape(workload),
-        escape(&cfg.model),
-        cfg.protection,
-        r.clients,
-        r.sessions,
-        r.total_branches,
-        r.elapsed_s,
-        r.sessions_per_s,
-        r.branches_per_s,
-        r.p50_ms,
-        r.p99_ms,
-        r.oae,
-    );
-    std::fs::create_dir_all(out_dir)?;
-    let path = format!("{out_dir}/BENCH_serve.json");
-    let mut f = std::fs::File::create(&path)?;
-    writeln!(f, "{body}")?;
-
-    if json {
-        println!("{body}");
-    } else {
-        println!(
-            "stbpu bench (serve suite: daemon + socket clients) — {workload}, \
-             {branches} branches/session, seed {seed}"
-        );
-        println!(
-            "{} sessions over {} clients in {:.3}s (every report bit-identical to the \
-             offline run, OAE {:.6})",
-            r.sessions, r.clients, r.elapsed_s, r.oae
-        );
-        println!(
-            "throughput: {:.1} sessions/s, {:.2}M branches/s aggregate",
-            r.sessions_per_s,
-            r.branches_per_s / 1e6
-        );
-        println!(
-            "flush-to-report latency: p50 {:.2} ms, p99 {:.2} ms",
-            r.p50_ms, r.p99_ms
-        );
-        eprintln!("wrote BENCH_serve.json to {out_dir}/");
-    }
-
-    // Socket throughput has no baseline section yet; correctness is
-    // hard-gated in-run, so --check degrades to a named warn-only note
-    // instead of pretending to compare anything.
-    if let Some(path) = check {
-        eprintln!(
-            "serve suite note (warn-only): no baseline gate for socket throughput \
-             ({path} not consulted); bit-parity was hard-gated in-run"
-        );
-    }
-    Ok(())
-}
-
 /// Writes the baseline file `--check` gates against. OAE values use
 /// Rust's shortest round-trip float formatting, so the parsed values
 /// compare exactly. The throughput suite refreshes the `throughput`
@@ -1506,7 +1382,7 @@ fn write_baseline(
             .iter()
             .map(|r| (r.name.to_string(), r.branches_per_s))
             .collect(),
-        Suite::Ingest | Suite::Shard | Suite::Serve | Suite::Simpoint => {
+        Suite::Ingest | Suite::Shard | Suite::Simpoint => {
             unreachable!("these suites never write a baseline")
         }
         // Carry over the existing section so a default-suite refresh

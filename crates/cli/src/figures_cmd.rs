@@ -1,6 +1,5 @@
 //! `stbpu figures` — reproduce the paper's figures and tables through the
-//! shared `stbpu_bench::figures` implementations (bit-identical with the
-//! historical `cargo run --bin` shims for identical knobs).
+//! `stbpu_bench::figures` implementations.
 
 use crate::args::Args;
 use crate::{help, Failure};
@@ -76,7 +75,7 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
     for (i, f) in selected.iter().enumerate() {
         if banner {
             // Stderr, so stdout stays bit-identical with the single-figure
-            // and `cargo run --bin` outputs.
+            // output.
             eprintln!("== {} ==", f.name);
         }
         (f.run)(&knobs);

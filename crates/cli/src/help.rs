@@ -246,10 +246,9 @@ examples:
         help: "\
 usage: stbpu figures NAME... | --all [--quick] [options]
 
-Each figure prints exactly what its historical `cargo run --bin` harness
-printed — the implementations are shared, so outputs are bit-identical
-for identical knobs. With several figures a `== name ==` banner goes to
-stderr between them; stdout stays pure figure output.
+Each figure prints the rows/series the paper reports; outputs are
+bit-identical for identical knobs. With several figures a `== name ==`
+banner goes to stderr between them; stdout stays pure figure output.
 
   --all                 run every figure/table (see list below)
   --quick               deterministic CI-sized knobs (8000 branches,
@@ -298,12 +297,6 @@ baseline gate compares.
                         report is bit-identical to the sequential one —
                         and emits one BENCH_shard.json (scaling curve,
                         warm-resume speedup, core count)
-                        serve: spawns the streaming daemon on loopback,
-                        drives concurrent socket clients through it —
-                        hard-fails unless every streamed report is
-                        bit-identical to an offline run — and emits one
-                        BENCH_serve.json (sessions/s, aggregate branches/s,
-                        p50/p99 flush-to-report latency)
                         simpoint: distills the workload into a .stbp
                         phase file (one BBV + k-means pass), estimates
                         every scheme from the representative slices, and
@@ -319,8 +312,6 @@ baseline gate compares.
   --branches N          explicit branch count (overrides --quick/default)
   --seed S              trace + token seed (default 42)
   --workload NAME       workload profile (default 541.leela)
-  --clients N           serve suite: concurrent socket clients (default 8)
-  --sessions N          serve suite: sessions per client (default 2)
   --out-dir DIR         where BENCH_*.json records go (default .)
   --json                print the combined record array on stdout
   --check FILE          fail (exit 1) if any scheme's OAE drifts from the
@@ -344,60 +335,7 @@ examples:
   stbpu bench --suite throughput --quick --check ci/baseline.json
   stbpu bench --suite ingest --quick --check ci/baseline.json
   stbpu bench --suite shard --quick --out-dir bench-artifacts
-  stbpu bench --suite serve --quick --out-dir bench-artifacts
   stbpu bench --suite simpoint --estimate-only --check ci/simpoint-reference.json
-",
-    },
-    Sub {
-        name: "serve",
-        summary: "streaming TCP simulation daemon (and its socket self-test)",
-        help: "\
-usage: stbpu serve [--listen ADDR] [daemon options]
-       stbpu serve --client [--connect ADDR] [self-test options]
-
-Daemon mode binds a TCP listener and accepts sessions over a
-length-prefixed binary protocol (see the README frame spec): a client
-sends Hello{model, protection, workload, seed, warmup, interval},
-streams raw .stbt record bytes in TraceChunk frames, and receives
-IntervalRecord frames as windows complete plus one FinalReport after
-Flush — bit-identical to running `stbpu simulate` offline on the same
-stream. Per-connection quotas bound sessions and buffered bytes;
-overload answers with advisory Backpressure/Resume frames and TCP
-pushback, never a dropped session.
-
-daemon options:
-  --listen ADDR         bind address (default 127.0.0.1:4588)
-  --workers N           worker threads (default: one per core, max 8)
-  --max-sessions N      live sessions per connection (default 16)
-  --max-buffered N      buffered chunk bytes per connection (default
-                        8 MiB, minimum one 1 MiB frame)
-  --idle-timeout-ms N   idle session reap timeout (default 30000)
-  --write-timeout-ms N  per-write timeout to a client socket; a client
-                        that stops reading loses its connection after
-                        at most this long (default 10000)
-
-self-test options (--client):
-  --connect ADDR        target a running daemon (default: spawn one
-                        in-process on loopback)
-  --clients N           concurrent socket clients (default 2)
-  --workload NAME       workload profile (default 541.leela)
-  --model SPEC          model spec (default st_skl)
-  --protection P        protection policy (default auto)
-  --branches N          branches per session (default 60000)
-  --seed S              trace + token seed (default 42)
-  --warmup-branches N   warm-up budget (default branches/10)
-  --interval N          also stream OAE interval windows of N branches
-  --json                print the streamed report as `stbpu simulate
-                        --format json` would (byte-identical for the
-                        same flags — CI diffs the two)
-
-every self-test client hard-fails unless its streamed report is
-bit-identical to one offline reference run of the same events.
-
-examples:
-  stbpu serve --listen 0.0.0.0:4588
-  stbpu serve --client --clients 4 --branches 100000
-  stbpu serve --client --connect 10.0.0.7:4588 --json
 ",
     },
     Sub {
@@ -415,7 +353,7 @@ gate. Lints: lock-scope (no blocking I/O while a Mutex guard is live),
 determinism (no HashMap/HashSet iteration where order can reach
 serialized output), wall-clock (no Instant::now/SystemTime in
 OAE-affecting crates), panic-freedom (no unwrap/expect/panic!/unchecked
-indexing in serve request/decode paths). #[cfg(test)] scopes are always
+indexing in the checkpoint, resume, .stbp, BBV, CBP and ITTAGE decoders). #[cfg(test)] scopes are always
 skipped.
 
 Findings are suppressible only via ci/analyze-allow.toml, where every

@@ -5,10 +5,8 @@
 //! grids, inline or from TOML/JSON spec files, or named workload suites),
 //! `attack` (the executed Table I surface + monitor telemetry), `trace`
 //! (generate / inspect / convert trace files in the line or binary
-//! `.stbt` format), `figures` (every paper figure/table,
-//! shared bit-identically with the `cargo run --bin` shims), `bench`
-//! (the deterministic perf harness CI's regression gate runs on) and
-//! `serve` (the streaming TCP daemon plus its socket self-test).
+//! `.stbt` format), `figures` (every paper figure/table) and `bench`
+//! (the deterministic perf harness CI's regression gate runs on).
 //!
 //! Model and workload names resolve through the live
 //! [`stbpu_engine::ModelRegistry`] and `stbpu_trace::profiles` tables, so
@@ -28,7 +26,6 @@ mod checkpoint_cmd;
 mod figures_cmd;
 mod grid;
 mod help;
-mod serve_cmd;
 mod simulate;
 mod trace_cmd;
 
@@ -172,7 +169,6 @@ pub fn run(argv: &[String]) -> i32 {
         "figures" => figures_cmd::run(rest),
         "bench" => bench_cmd::run(rest),
         "checkpoint" => checkpoint_cmd::run(rest),
-        "serve" => serve_cmd::run(rest),
         "analyze" => analyze_cmd::run(rest),
         "list" => list(rest),
         other => {

@@ -1,8 +1,9 @@
 //! Integration tests for `stbpu analyze` driving the real binary: the
 //! live workspace must gate clean, every flag must honor the CLI
 //! contracts, and — the acceptance criterion for the gate itself — a
-//! workspace with the PR 6 write-under-mutex pattern reintroduced into
-//! `crates/serve/src/server.rs` must fail with positioned diagnostics.
+//! workspace with the PR 6 write-under-mutex pattern planted in a
+//! synthetic `crates/net/src/server.rs` must fail with positioned
+//! diagnostics.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -35,21 +36,21 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// A throwaway single-crate workspace whose `crates/serve/src/server.rs`
+/// A throwaway single-crate workspace whose `crates/net/src/server.rs`
 /// holds whatever source the test plants there.
 fn synthetic_workspace(name: &str, server_rs: &str) -> PathBuf {
     let root =
         std::env::temp_dir().join(format!("stbpu-analyze-test-{}-{name}", std::process::id()));
-    let src = root.join("crates").join("serve").join("src");
+    let src = root.join("crates").join("net").join("src");
     std::fs::create_dir_all(&src).expect("scratch workspace");
     std::fs::write(
         root.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/serve\"]\n",
+        "[workspace]\nmembers = [\"crates/net\"]\n",
     )
     .expect("root manifest");
     std::fs::write(
-        root.join("crates").join("serve").join("Cargo.toml"),
-        "[package]\nname = \"stbpu-serve\"\nversion = \"0.0.0\"\n",
+        root.join("crates").join("net").join("Cargo.toml"),
+        "[package]\nname = \"net\"\nversion = \"0.0.0\"\n",
     )
     .expect("crate manifest");
     std::fs::write(src.join("server.rs"), server_rs).expect("server.rs");
@@ -74,7 +75,7 @@ fn analyze_exits_zero_on_the_workspace() {
 fn analyze_finds_the_root_from_a_nested_working_directory() {
     // No --root: the command walks up from cwd (crates/cli) to the
     // [workspace] manifest.
-    let nested = workspace_root().join("crates").join("serve");
+    let nested = workspace_root().join("crates").join("trace");
     let out = stbpu_in(&nested, &["analyze"]);
     assert!(out.status.success(), "{}", stderr(&out));
 }
@@ -129,7 +130,7 @@ fn broadcast(state: &Mutex<State>, sock: &mut TcpStream) {
     let text = stdout(&out);
     // Positioned diagnostic: file:line:col, the lint id, the guard name.
     assert!(
-        text.contains("crates/serve/src/server.rs:11:"),
+        text.contains("crates/net/src/server.rs:11:"),
         "positioned at the write_all line:\n{text}"
     );
     assert!(text.contains("lock-scope"), "{text}");

@@ -228,6 +228,14 @@ fn unknown_command_flag_and_figure_exit_nonzero() {
     let out = stbpu(&["figures", "fig99"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("fig3"), "{}", stderr(&out));
+    // The retired TCP daemon is an unknown command like any other: exit
+    // 2 with the command catalog, which no longer names it.
+    let out = stbpu(&["serve", "--listen", "127.0.0.1:0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    let catalog = err.split("(commands:").nth(1).unwrap_or("");
+    assert!(catalog.contains("simulate"), "{err}");
+    assert!(!catalog.contains("serve"), "{err}");
 }
 
 #[test]
@@ -783,53 +791,23 @@ fn unknown_suite_exits_nonzero_with_catalog() {
     for name in ["paper", "spec-like", "adversarial", "stress", "realtrace"] {
         assert!(err.contains(name), "catalog missing {name}: {err}");
     }
+    // `bench --suite serve` is gone: exit 2 with the bench-suite catalog,
+    // which no longer names it.
+    let out = stbpu(&["bench", "--suite", "serve"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("unknown suite 'serve'"), "{err}");
+    let catalog = err.split("'serve'").nth(1).unwrap_or("");
+    for name in ["default", "throughput", "ingest", "shard", "simpoint"] {
+        assert!(catalog.contains(name), "catalog missing {name}: {err}");
+    }
+    assert!(!catalog.contains("serve"), "{err}");
     // The suites are listable.
     let list = stbpu(&["list", "suites"]);
     assert!(list.status.success());
     for name in ["paper", "spec-like", "adversarial", "stress", "realtrace"] {
         assert!(stdout(&list).contains(name), "list missing {name}");
     }
-}
-
-// --- the serve daemon, self-test and bench suite ----------------------
-
-#[test]
-fn serve_client_json_is_byte_identical_to_simulate() {
-    // The self-test hard-gates every streamed report bit-identical to
-    // its offline reference internally; this proves the printed JSON
-    // also matches `stbpu simulate` byte for byte for the same flags —
-    // the exact comparison the CI smoke step makes.
-    let served = stbpu(&[
-        "serve",
-        "--client",
-        "--clients",
-        "2",
-        "--branches",
-        "8000",
-        "--seed",
-        "11",
-        "--warmup-branches",
-        "800",
-        "--json",
-    ]);
-    assert!(served.status.success(), "{}", stderr(&served));
-    let offline = stbpu(&[
-        "simulate",
-        "--model",
-        "st_skl",
-        "--workload",
-        "541.leela",
-        "--branches",
-        "8000",
-        "--seed",
-        "11",
-        "--warmup-branches",
-        "800",
-        "--format",
-        "json",
-    ]);
-    assert!(offline.status.success(), "{}", stderr(&offline));
-    assert_eq!(stdout(&served), stdout(&offline));
 }
 
 // --- sharded simulation, checkpoints and crash-resume ------------------
@@ -1372,49 +1350,4 @@ fn simpoint_flag_misuse_exits_two() {
         "x.json",
     ]);
     assert_eq!(out.status.code(), Some(2));
-}
-
-// --- the serve daemon, self-test and bench suite (continued) ----------
-
-#[test]
-fn bench_serve_suite_emits_trajectory_record() {
-    let dir = scratch("serve-bench");
-    let out = stbpu(&[
-        "bench",
-        "--suite",
-        "serve",
-        "--branches",
-        "5000",
-        "--clients",
-        "2",
-        "--sessions",
-        "1",
-        "--out-dir",
-        dir.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let record = std::fs::read_to_string(dir.join("BENCH_serve.json")).expect("record written");
-    for field in [
-        "\"suite\":\"serve\"",
-        "\"clients\":2",
-        "\"sessions\":2",
-        "\"sessions_per_s\"",
-        "\"branches_per_s\"",
-        "\"p50_ms\"",
-        "\"p99_ms\"",
-        "\"oae\"",
-    ] {
-        assert!(record.contains(field), "missing {field} in {record}");
-    }
-    assert_eq!(stdout(&out).trim(), record.trim());
-
-    // The fleet flags belong to the serve suite alone.
-    let misuse = stbpu(&["bench", "--quick", "--clients", "4"]);
-    assert_eq!(misuse.status.code(), Some(2));
-    assert!(
-        stderr(&misuse).contains("serve suite"),
-        "{}",
-        stderr(&misuse)
-    );
 }

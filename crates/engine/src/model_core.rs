@@ -32,9 +32,9 @@ macro_rules! model_core {
                 $variant(FullBpu<$dir, $mapper>),
             )+
             /// Any other [`Bpu`] implementation (virtual dispatch).
-            /// `Send` so a `ModelCore` of any variant can migrate across
-            /// worker threads (sessions check in and out of a server
-            /// registry).
+            /// `Send` so a `ModelCore` of any variant can move between
+            /// threads, e.g. as a result handed back from a
+            /// `parallel_map` worker.
             Custom(Box<dyn Bpu + Send>),
         }
 
@@ -143,7 +143,7 @@ impl From<Box<dyn Bpu + Send>> for ModelCore {
 }
 
 /// Compile-time guarantee that every variant (standard compositions and
-/// `Custom`) is `Send` — the property server worker pools rely on.
+/// `Custom`) is `Send`, so models can cross thread boundaries.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ModelCore>();

@@ -22,8 +22,7 @@ pub fn protection_from_str(s: &str) -> Result<Protection, EngineError> {
 /// under: ST models run under the STBPU policy, the conservative model
 /// under the conservative policy, everything else unprotected. The one
 /// resolution rule behind every `--protection auto` surface (CLI
-/// simulate/attack, the serve `Hello` handshake), so "auto" means the
-/// same thing on every path.
+/// simulate and attack), so "auto" means the same thing on every path.
 pub fn auto_protection(model_spec: &str) -> Protection {
     let name = model_spec.split('@').next().unwrap_or("").trim();
     if name.starts_with("st_") || name == "stbpu" {

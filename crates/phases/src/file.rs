@@ -38,7 +38,7 @@
 //! positioned [`PhaseError`], never a panic (this module is in the
 //! `stbpu analyze` panic-freedom lint scope).
 
-use stbpu_trace::binfmt::{decode_varint, push_varint};
+use stbpu_trace::binfmt::{decode_varint, fnv1a64, push_varint};
 use std::path::Path;
 
 /// Magic bytes opening every phase file.
@@ -371,20 +371,6 @@ impl PhaseFile {
     pub fn fully_warm(&self) -> bool {
         self.phases.iter().all(PhaseEntry::has_checkpoint)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `data` — the phase-file trailer checksum (the same
-/// function `.stck` checkpoints use).
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

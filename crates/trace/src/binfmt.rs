@@ -159,8 +159,7 @@ impl From<BinTraceError> for SourceError {
 }
 
 /// Zigzag-encodes a signed delta so small magnitudes of either sign get
-/// short varints. Public for protocols built on the same primitives
-/// (e.g. the serve wire format).
+/// short varints.
 pub fn zigzag(v: i64) -> u64 {
     (v.wrapping_shl(1) ^ (v >> 63)) as u64
 }
@@ -191,6 +190,21 @@ impl fmt::Display for VarintOverflow {
 }
 
 impl std::error::Error for VarintOverflow {}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over `data` — the trailer checksum of the `.stck` and
+/// `.stbp` containers, and the key hash of cached grid cells and shard
+/// checkpoints.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
 
 /// Bounds-checked LEB128 decode from the front of `data` — the
 /// untrusted-input counterpart of the reader's internal trusted-index
@@ -369,15 +383,6 @@ impl<W: Write> BinTraceWriter<W> {
     /// Unwraps the underlying writer (does not flush).
     pub fn into_inner(self) -> W {
         self.w
-    }
-
-    /// The underlying writer. Lets a chunking caller (e.g. the serve
-    /// client) take encoded bytes out of a `Vec<u8>` sink mid-stream
-    /// while the writer keeps its per-thread PC delta state — the decoder
-    /// on the far side ([`RecordDecoder`]) carries matching state, so the
-    /// chunk boundaries can fall anywhere.
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.w
     }
 }
 
@@ -793,180 +798,6 @@ impl<R: Read> EventSource for BinTraceReader<R> {
     }
 }
 
-/// Incremental decoder for a headerless `.stbt` *record* stream arriving
-/// in arbitrarily chunked byte slices — the server-side counterpart of a
-/// [`BinTraceWriter`] whose sink is drained mid-stream (see
-/// [`BinTraceWriter::get_mut`]). Chunk boundaries can fall anywhere,
-/// including inside a record: bytes that do not yet form a complete
-/// record are carried until the next [`RecordDecoder::feed`]. Both sides
-/// start with zeroed per-thread PC delta state, so the concatenation of
-/// all fed chunks decodes to exactly the event sequence that was encoded.
-///
-/// Input is untrusted: arbitrary bytes produce a positioned
-/// [`BinTraceError`] (offsets count from the first fed byte), never a
-/// panic or an over-read. After an error the decoder is poisoned — the
-/// stream has no record boundaries to resynchronize on, so every further
-/// call returns an error.
-///
-/// ```
-/// use stbpu_trace::binfmt::{BinTraceWriter, RecordDecoder};
-/// use stbpu_trace::{TraceGenerator, WorkloadProfile};
-///
-/// let t = TraceGenerator::new(&WorkloadProfile::test_profile(), 2).generate(50);
-/// let mut w = BinTraceWriter::new(Vec::new());
-/// for ev in t.events() {
-///     w.event(ev).unwrap();
-/// }
-/// let bytes = w.into_inner(); // headerless: header() was never called
-///
-/// let mut dec = RecordDecoder::new();
-/// let mut out = Vec::new();
-/// for chunk in bytes.chunks(7) {
-///     dec.feed(chunk, &mut out).unwrap();
-/// }
-/// dec.finish(&mut out).unwrap();
-/// assert_eq!(out.as_slice(), t.events());
-/// ```
-pub struct RecordDecoder {
-    /// Bytes fed but not yet decoded (at most one partial record plus
-    /// the under-`MAX_RECORD` slack the trusted decoder cannot touch).
-    carry: Vec<u8>,
-    /// Absolute stream offset of `carry[0]`.
-    base: u64,
-    last_pc: [u64; 256],
-    records: u64,
-    poisoned: bool,
-}
-
-impl Default for RecordDecoder {
-    fn default() -> Self {
-        RecordDecoder::new()
-    }
-}
-
-impl RecordDecoder {
-    /// A decoder at stream offset 0 with zeroed per-thread delta state.
-    pub fn new() -> Self {
-        RecordDecoder {
-            carry: Vec::new(),
-            base: 0,
-            last_pc: [0; 256],
-            records: 0,
-            poisoned: false,
-        }
-    }
-
-    /// Records decoded so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Bytes currently carried awaiting completion (quota accounting).
-    pub fn buffered(&self) -> usize {
-        self.carry.len()
-    }
-
-    fn record_error(&self, at: usize, msg: String) -> BinTraceError {
-        BinTraceError {
-            offset: self.base + at as u64,
-            record: self.records + 1,
-            msg,
-        }
-    }
-
-    fn check_poison(&self) -> Result<(), BinTraceError> {
-        if self.poisoned {
-            return Err(BinTraceError {
-                offset: self.base,
-                record: self.records + 1,
-                msg: "decoder poisoned by an earlier error".to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Appends `chunk` and decodes every record that is now complete into
-    /// `out` (appended, not cleared). Bytes of a trailing partial record
-    /// are carried for the next call.
-    ///
-    /// # Errors
-    ///
-    /// A positioned [`BinTraceError`] on malformed bytes; the decoder is
-    /// poisoned afterwards.
-    pub fn feed(&mut self, chunk: &[u8], out: &mut Vec<TraceEvent>) -> Result<(), BinTraceError> {
-        self.check_poison()?;
-        self.carry.extend_from_slice(chunk);
-        // Mirror the reader's batched hot loop: every record starting at
-        // or before `soft_end` has its worst-case byte budget buffered,
-        // so the trusted-index decoder never over-reads.
-        if self.carry.len() < MAX_RECORD {
-            return Ok(());
-        }
-        let soft_end = self.carry.len() - MAX_RECORD;
-        let mut i = 0;
-        while i <= soft_end {
-            let start = i;
-            match decode_event(&self.carry, &mut i, &mut self.last_pc) {
-                Ok(ev) => {
-                    out.push(ev);
-                    self.records += 1;
-                }
-                Err(msg) => {
-                    self.poisoned = true;
-                    return Err(self.record_error(start, msg));
-                }
-            }
-        }
-        self.carry.drain(..i);
-        self.base += i as u64;
-        Ok(())
-    }
-
-    /// Declares end of stream and decodes the carried tail (which the
-    /// slack rule kept [`RecordDecoder::feed`] from touching), appending
-    /// to `out`. The decoder is spent afterwards — further calls error.
-    ///
-    /// # Errors
-    ///
-    /// A positioned [`BinTraceError`] on malformed bytes or when the
-    /// stream ends inside a record.
-    pub fn finish(&mut self, out: &mut Vec<TraceEvent>) -> Result<(), BinTraceError> {
-        self.check_poison()?;
-        self.poisoned = true; // spent either way
-        let mut pos = 0;
-        while pos < self.carry.len() {
-            let remaining = self.carry.len() - pos;
-            // Zero-padded scratch keeps the trusted-index decoder in
-            // bounds; consuming padding means the record was cut off
-            // (the same tail discipline as `BinTraceReader`).
-            let mut pad = [0u8; MAX_RECORD];
-            let take = remaining.min(MAX_RECORD);
-            pad[..take].copy_from_slice(&self.carry[pos..pos + take]);
-            let mut i = 0;
-            match decode_event(&pad, &mut i, &mut self.last_pc) {
-                Ok(_) if i > remaining => {
-                    return Err(self.record_error(
-                        pos,
-                        format!(
-                            "truncated record: the {remaining} trailing bytes do not \
-                             form a complete record"
-                        ),
-                    ));
-                }
-                Ok(ev) => {
-                    out.push(ev);
-                    self.records += 1;
-                    pos += i;
-                }
-                Err(msg) => return Err(self.record_error(pos, msg)),
-            }
-        }
-        self.carry.clear();
-        self.base += pos as u64;
-        Ok(())
-    }
-}
-
 /// Reads a whole binary trace (materializing wrapper over
 /// [`BinTraceReader`]).
 ///
@@ -1222,67 +1053,6 @@ mod tests {
         let t = read_bin_trace(buf.as_slice()).expect("read");
         assert!(t.is_empty());
         assert_eq!(t.name, "empty");
-    }
-
-    /// Headerless record bytes for `t`, as a chunking client encodes them.
-    fn encode_records(t: &Trace) -> Vec<u8> {
-        let mut w = BinTraceWriter::new(Vec::new());
-        for ev in t.events() {
-            w.event(ev).unwrap();
-        }
-        w.into_inner()
-    }
-
-    #[test]
-    fn record_decoder_is_chunk_boundary_invariant() {
-        let t = sample(500);
-        let bytes = encode_records(&t);
-        for chunk in [1, 2, 7, MAX_RECORD, 4096, bytes.len()] {
-            let mut dec = RecordDecoder::new();
-            let mut out = Vec::new();
-            for c in bytes.chunks(chunk) {
-                dec.feed(c, &mut out).unwrap();
-            }
-            dec.finish(&mut out).unwrap();
-            assert_eq!(out.as_slice(), t.events(), "chunk size {chunk}");
-            assert_eq!(dec.records(), t.events().len() as u64);
-        }
-    }
-
-    #[test]
-    fn record_decoder_reports_truncation_with_offset() {
-        let t = sample(50);
-        let bytes = encode_records(&t);
-        let mut dec = RecordDecoder::new();
-        let mut out = Vec::new();
-        dec.feed(&bytes[..bytes.len() - 1], &mut out).unwrap();
-        let e = dec.finish(&mut out).unwrap_err();
-        assert!(e.to_string().contains("truncated record"), "{e}");
-        assert!(e.offset() < bytes.len() as u64);
-        // Poisoned afterwards.
-        let e2 = dec.feed(b"\x03\x00", &mut out).unwrap_err();
-        assert!(e2.to_string().contains("poisoned"), "{e2}");
-    }
-
-    #[test]
-    fn record_decoder_rejects_garbage_with_position() {
-        // A reserved-bits interrupt tag in the middle of a valid stream.
-        let t = Trace::from_events(
-            "x",
-            [
-                TraceEvent::Interrupt { tid: 0 },
-                TraceEvent::Interrupt { tid: 1 },
-            ],
-        );
-        let mut bytes = encode_records(&t);
-        bytes[2] = EV_IRQ | (1 << 5);
-        bytes.extend_from_slice(&[0u8; MAX_RECORD]); // make both records "complete"
-        let mut dec = RecordDecoder::new();
-        let mut out = Vec::new();
-        let e = dec.feed(&bytes, &mut out).unwrap_err();
-        assert_eq!(e.offset(), 2);
-        assert_eq!(e.record(), 2);
-        assert_eq!(out.len(), 1, "first record decoded before the damage");
     }
 
     #[test]

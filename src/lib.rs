@@ -12,6 +12,5 @@ pub use stbpu_phases as phases;
 pub use stbpu_pipeline as pipeline;
 pub use stbpu_predictors as predictors;
 pub use stbpu_remap as remap;
-pub use stbpu_serve as serve;
 pub use stbpu_sim as sim;
 pub use stbpu_trace as trace;
