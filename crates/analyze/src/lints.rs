@@ -127,11 +127,11 @@ impl LintId {
             // byte-for-byte against sequential runs (timing belongs in
             // the CLI bench layer). Bench/CLI progress code lives outside
             // these roots and may time freely.
-            // PR 9 additions: the clustering crate (a wall-clock read in
-            // k-means would make phase selection machine-dependent) and
-            // the engine's phase driver, whose estimates the simpoint
-            // reference gate diffs against a committed JSON.
-            // PR 10 addition: the predictor models themselves — a timing
+            // Also in scope: the clustering crate (a wall-clock read in
+            // k-means would make phase selection machine-dependent), the
+            // engine's phase driver, whose estimates the simpoint
+            // reference gate diffs against a committed JSON, and
+            // the predictor models themselves — a timing
             // read inside a predict/update path would make reports
             // machine-dependent.
             LintId::WallClock => &[
@@ -1070,7 +1070,7 @@ fn bad(q: &std::sync::Mutex<Vec<Vec<u8>>>, sock: &mut std::net::TcpStream) {
 
     #[test]
     fn checkpoint_paths_are_in_scope() {
-        // The checkpoint layer joined the lint surface in PR 8: the .stck
+        // The checkpoint layer is on the lint surface: the .stck
         // and completed.jsonl codecs must stay panic-free, and the
         // shard/resume drivers must stay wall-clock-free (their outputs
         // are byte-diffed against sequential runs).
@@ -1139,7 +1139,7 @@ fn run_segment(events: u64) -> f64 {
 
     #[test]
     fn phase_paths_are_in_scope() {
-        // The phase-clustering layer joined the lint surface in PR 9: the
+        // The phase-clustering layer is on the lint surface: the
         // .stbp codec and BBV extractor must stay panic-free (they run
         // inside the CI figure-estimation gate), the whole phases crate
         // must stay deterministic and wall-clock-free (phase selection
@@ -1236,8 +1236,8 @@ fn decode_phase_header(data: &[u8]) -> Result<(u16, u64), PhaseError> {
 
     #[test]
     fn cbp_and_predictor_paths_are_in_scope() {
-        // The real-trace frontend and predictor family joined the lint
-        // surface in PR 10: the CBP decoder consumes untrusted
+        // The real-trace frontend and predictor family are on the lint
+        // surface: the CBP decoder consumes untrusted
         // championship traces and must stay total (positioned errors,
         // never panics), the ITTAGE snapshot loader consumes `.stck`
         // bytes from disk, and the predictors crate as a whole must stay

@@ -1,7 +1,7 @@
 //! The fixture corpus: every lint has known-bad snippets that must fire
 //! with positioned diagnostics and fixed twins that must stay quiet.
-//! The bad lock-scope fixture is a minimized reproduction of the PR 6
-//! daemon wedge (socket writes under the registry lock).
+//! The bad lock-scope fixture writes to a socket while a mutex guard is
+//! live, the shape the lint exists to catch.
 
 use stbpu_analyze::{lint_source, Finding, LintId};
 use std::path::Path;

@@ -1,6 +1,6 @@
-//! Minimized reproduction of the PR 6 daemon wedge: frames are written
-//! to the socket while the registry lock is held, so one peer that stops
-//! reading its socket stalls every thread that needs the registry.
+//! Minimized bad twin of the lock-scope lint: frames are written to a
+//! socket while a shared lock is held, so one peer that stops reading
+//! its socket stalls every thread that needs the lock.
 //! The `lock-scope` lint must fire on the `write_all` under the guard.
 
 use std::io::Write;

@@ -1,5 +1,5 @@
-//! The fixed twin of `lock_scope_bad.rs` — the PR 6 fix pattern: take
-//! what you need under the lock, release it, then do the socket I/O.
+//! The fixed twin of `lock_scope_bad.rs`: take what you need under the
+//! lock, release it, then do the socket I/O.
 //! The `lock-scope` lint must stay quiet.
 
 use std::io::Write;

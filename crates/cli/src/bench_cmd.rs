@@ -799,7 +799,7 @@ fn run_shard_in(
         // used; its checkpoints also feed the save/load measurement.
         let start = Instant::now();
         let cps = cut_checkpoints(
-            registry, MODEL, policy, seed, &w, branches, &cfg, &warm.cuts,
+            registry, MODEL, policy, seed, &w, branches, warmup, None, None, &warm.cuts,
         )
         .map_err(Failure::from)?;
         let pass1_s = start.elapsed().as_secs_f64();
@@ -846,10 +846,9 @@ fn run_shard_in(
         "shard suite: resuming the cached checkpoint at branch {}…",
         last_cp.branches_seen
     );
-    let mut source = w.open(seed, branches).map_err(Failure::from)?;
     let start = Instant::now();
     let (resume_report, _) =
-        stbpu_engine::resume_to_end(registry, &last_cp, source.as_mut()).map_err(Failure::from)?;
+        stbpu_engine::resume_to_end(registry, &last_cp, &w, branches).map_err(Failure::from)?;
     let resume_s = start.elapsed().as_secs_f64();
     assert_identical("resume from last boundary", &seq_report, &resume_report)?;
     let warm_resume_speedup = seq_s / resume_s.max(1e-12);

@@ -4,7 +4,7 @@
 use crate::args::Args;
 use crate::Failure;
 use stbpu_engine::{
-    auto_protection, cut_checkpoints, protection_from_str, ModelRegistry, ShardConfig, Workload,
+    auto_protection, cut_checkpoints, protection_from_str, ModelRegistry, Workload,
 };
 use stbpu_sim::{Checkpoint, Warmup};
 use std::path::Path;
@@ -124,13 +124,6 @@ fn create(rest: &[String]) -> Result<(), Failure> {
     };
 
     let registry = ModelRegistry::standard();
-    let cfg = ShardConfig {
-        shards: 1, // unused by cut_checkpoints
-        warmup,
-        interval,
-        threads,
-        checkpoint_dir: None,
-    };
     let cps = cut_checkpoints(
         &registry,
         &model_spec,
@@ -138,7 +131,9 @@ fn create(rest: &[String]) -> Result<(), Failure> {
         seed,
         &workload,
         branches,
-        &cfg,
+        warmup,
+        interval,
+        threads,
         &[at],
     )
     .map_err(Failure::from)?;

@@ -163,10 +163,9 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
             None => workload_for_label(&cp.workload)?,
         };
         workload.validate().map_err(Failure::from)?;
-        let mut source = workload.open(cp.seed, branches).map_err(Failure::from)?;
         let seed = cp.seed;
-        let (report, windows) =
-            stbpu_engine::resume_to_end(&registry, &cp, source.as_mut()).map_err(Failure::from)?;
+        let (report, windows) = stbpu_engine::resume_to_end(&registry, &cp, &workload, branches)
+            .map_err(Failure::from)?;
         (report, windows, seed)
     } else if let Some(path) = phases_file {
         let model_spec = require_model(&model_spec)?;

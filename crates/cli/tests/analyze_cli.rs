@@ -1,7 +1,7 @@
 //! Integration tests for `stbpu analyze` driving the real binary: the
 //! live workspace must gate clean, every flag must honor the CLI
 //! contracts, and — the acceptance criterion for the gate itself — a
-//! workspace with the PR 6 write-under-mutex pattern planted in a
+//! workspace with a socket write under a live mutex guard planted in a
 //! synthetic `crates/net/src/server.rs` must fail with positioned
 //! diagnostics.
 
@@ -100,12 +100,12 @@ fn analyze_list_lints_prints_the_catalog() {
     }
 }
 
-// --- the gate fails when the PR 6 bug comes back -----------------------
+// --- the gate fails on a write under a live guard ----------------------
 
 #[test]
 fn analyze_fails_when_the_pr6_write_under_mutex_returns() {
-    // The exact shape the PR 6 review fixed: socket writes issued while
-    // the registry guard is live.
+    // The shape the lock-scope lint targets: socket writes issued while
+    // a mutex guard is live.
     let root = synthetic_workspace(
         "pr6",
         r#"

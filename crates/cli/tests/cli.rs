@@ -4,7 +4,7 @@
 
 use stbpu_engine::{Experiment, ModelRegistry, Scenario};
 use stbpu_sim::Protection;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn stbpu(args: &[&str]) -> Output {
@@ -24,10 +24,39 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("stbpu-cli-test-{}", std::process::id()));
+/// A path `name` inside a fresh directory of its own under the temp dir;
+/// dropping it removes the directory and everything written there.
+struct Scratch {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("stbpu-cli-test-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+    Scratch {
+        path: dir.join(name),
+        dir,
+    }
 }
 
 // --- round-trip parity with direct engine calls -----------------------
@@ -1128,7 +1157,7 @@ fn stbpu_in(dir: &std::path::Path, args: &[&str]) -> Output {
 fn trace_simpoint_builds_deterministic_stbp_and_estimates_from_it() {
     let a = scratch("phases-a.stbp");
     let b = scratch("phases-b.stbp");
-    let build = |out: &PathBuf| {
+    let build = |out: &Path| {
         let run = stbpu(&[
             "trace",
             "simpoint",

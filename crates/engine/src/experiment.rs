@@ -1134,6 +1134,40 @@ mod tests {
     }
 
     #[test]
+    fn in_flight_cell_checkpoint_past_the_stream_end_is_a_checkpoint_error() {
+        let dir = tmpdir("cell-short");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A genuine checkpoint for suite 0 / scenario 0 whose consumed-event
+        // count runs past the end of the cell's 6k-branch stream.
+        let reg = ModelRegistry::standard();
+        let wl = Workload::Named("541.leela".to_string());
+        let mut cp = crate::cut_checkpoints(
+            &reg,
+            "skl",
+            Protection::Unprotected,
+            1,
+            &wl,
+            6_000,
+            Warmup::Fraction(0.1),
+            Some(2_000),
+            None,
+            &[3_000],
+        )
+        .unwrap()
+        .remove(0);
+        cp.events_consumed += 1_000_000;
+        cp.save(&cell_path(&dir, 0, 0)).unwrap();
+        let err = ckpt_experiment("short", &dir).run().unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        match err {
+            EngineError::Checkpoint(msg) => {
+                assert!(msg.contains("events the checkpoint consumed"), "{msg}")
+            }
+            other => panic!("expected a Checkpoint error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn checkpoint_dir_rejects_a_different_experiment() {
         let dir = tmpdir("mismatch");
         ckpt_experiment("a", &dir).run().unwrap();

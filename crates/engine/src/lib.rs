@@ -83,10 +83,8 @@ pub use registry::{BtbSpec, MapperSpec, ModelParams, ModelRegistry, ModelSpec, P
 pub use report::{
     auto_protection, csv_header, protection_from_str, report_to_csv_row, report_to_json,
 };
-pub use shard::{
-    cut_checkpoints, resume_session, resume_to_end, run_sequential, run_sharded, ShardConfig,
-    ShardRun, MAX_SHARDS,
-};
+pub use resume::resume_to_end;
+pub use shard::{cut_checkpoints, run_sequential, run_sharded, ShardConfig, ShardRun, MAX_SHARDS};
 pub use spec::ExperimentSpec;
 pub use stats::{geomean, mean};
 pub use suite::WorkloadSuite;

@@ -9,8 +9,8 @@
 //! warm `.stck` snapshot at every representative's start branch. A phase
 //! file without embedded checkpoints is *model-independent*: the same
 //! `.stbp` estimates any scheme (each representative is simulated from a
-//! cold model repositioned via `skip_events`). Embedded checkpoints pin
-//! the file to one `(model, protection, seed)` but make each
+//! cold model, warmed over the stretch just before it). Embedded
+//! checkpoints pin the file to one `(model, protection, seed)` but make each
 //! representative start from the exact warm state of a full run — with
 //! `k` = the slice count this reproduces full simulation bit-exactly
 //! (test-enforced).
@@ -32,14 +32,13 @@
 use crate::error::EngineError;
 use crate::parallel::parallel_map;
 use crate::registry::ModelRegistry;
-use crate::shard::{cut_checkpoints, resolve_threads, resume_session, run_sequential, ShardConfig};
+use crate::resume::{source_err, RangeRun, RangeStart};
+use crate::shard::{cut_checkpoints, run_sequential};
 use crate::workload::Workload;
 use stbpu_bpu::Bpu;
 use stbpu_phases::{cluster_slices, phase_entries, ClusterConfig, PhaseEntry, PhaseFile};
-use stbpu_sim::{
-    Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport, Warmup,
-};
-use stbpu_trace::{extract_bbv, EventSource, TraceEvent};
+use stbpu_sim::{Checkpoint, IntervalWindow, Protection, SimReport, Warmup};
+use stbpu_trace::extract_bbv;
 
 /// Cold-start warm-up floor: feeding fewer branches than this leaves
 /// table-driven predictors (TAGE banks, the BTB) visibly cold no matter
@@ -91,10 +90,6 @@ pub struct PhaseRun {
     pub simulated_branches: u64,
 }
 
-fn source_err(e: stbpu_trace::SourceError) -> EngineError {
-    EngineError::WorkloadSource(e.to_string())
-}
-
 /// Profiles `workload` (one streaming BBV pass), clusters the slices,
 /// and assembles a [`PhaseFile`] — plus one checkpoint-cutting pass when
 /// [`PhaseBuildOptions::embed`] asks for warm starts.
@@ -127,13 +122,6 @@ pub fn build_phase_file(
 
     if let Some((model_spec, protection)) = &opts.embed {
         let targets: Vec<u64> = entries.iter().map(|e| e.start_branch).collect();
-        let cfg = ShardConfig {
-            shards: entries.len().max(1),
-            warmup: Warmup::Branches(0),
-            interval: None,
-            threads: None,
-            checkpoint_dir: None,
-        };
         let cps = cut_checkpoints(
             registry,
             model_spec,
@@ -141,7 +129,9 @@ pub fn build_phase_file(
             seed,
             workload,
             branches,
-            &cfg,
+            Warmup::Branches(0),
+            None,
+            None,
             &targets,
         )?;
         for (entry, cp) in entries.iter_mut().zip(&cps) {
@@ -183,8 +173,8 @@ struct Counters {
     rerandomizations: u64,
 }
 
-fn snapshot<B: Bpu>(session: &OwnedSession<B>) -> Counters {
-    let s = session.model().stats();
+fn snapshot<B: Bpu>(model: &B) -> Counters {
+    let s = model.stats();
     Counters {
         branches: s.branches,
         effective_correct: s.effective_correct,
@@ -195,7 +185,7 @@ fn snapshot<B: Bpu>(session: &OwnedSession<B>) -> Counters {
         mispredictions: s.mispredictions,
         evictions: s.btb_evictions,
         flushes: s.flushes,
-        rerandomizations: session.model().rerandomizations(),
+        rerandomizations: model.rerandomizations(),
     }
 }
 
@@ -211,62 +201,6 @@ fn delta(before: &Counters, after: &Counters) -> Counters {
         evictions: after.evictions - before.evictions,
         flushes: after.flushes - before.flushes,
         rerandomizations: after.rerandomizations - before.rerandomizations,
-    }
-}
-
-/// Branch-counted reader over an event source. Batches survive across
-/// calls, so consecutive `advance` calls split a pulled batch exactly at
-/// the branch that reaches each target (shard-cut style) without losing
-/// the remainder.
-struct BranchCursor<'a> {
-    source: &'a mut dyn EventSource,
-    buf: Vec<TraceEvent>,
-    lo: usize,
-}
-
-impl<'a> BranchCursor<'a> {
-    fn new(source: &'a mut dyn EventSource) -> Self {
-        BranchCursor {
-            source,
-            buf: Vec::new(),
-            lo: 0,
-        }
-    }
-
-    /// Advances exactly `need` branch events, handing every consumed
-    /// chunk to `sink` (pass a no-op to discard a prefix, or
-    /// `feed_batch` to simulate it), erroring if the stream ends first.
-    fn advance(
-        &mut self,
-        need: u64,
-        mut sink: impl FnMut(&[TraceEvent]) -> Result<(), EngineError>,
-    ) -> Result<(), EngineError> {
-        let mut remaining = need;
-        while remaining > 0 {
-            if self.lo >= self.buf.len() {
-                self.lo = 0;
-                if self
-                    .source
-                    .next_batch(&mut self.buf, 4_096)
-                    .map_err(source_err)?
-                    == 0
-                {
-                    return Err(EngineError::Phase(format!(
-                        "stream ended {remaining} branches before the phase slice did"
-                    )));
-                }
-            }
-            let mut hi = self.lo;
-            while hi < self.buf.len() && remaining > 0 {
-                if matches!(self.buf[hi], TraceEvent::Branch { .. }) {
-                    remaining -= 1;
-                }
-                hi += 1;
-            }
-            sink(&self.buf[self.lo..hi])?;
-            self.lo = hi;
-        }
-        Ok(())
     }
 }
 
@@ -293,8 +227,7 @@ fn run_one_phase(
     base: &Workload,
     entry: &PhaseEntry,
 ) -> Result<(Counters, bool, u64), EngineError> {
-    let mut source = base.open(pf.seed, pf.total_branches as usize)?;
-    let (mut session, warm, warm_branches) = if entry.has_checkpoint() {
+    let cp = if entry.has_checkpoint() {
         let cp = Checkpoint::from_bytes(&entry.checkpoint).map_err(|e| {
             EngineError::Phase(format!(
                 "phase {}: embedded checkpoint is corrupt: {e}",
@@ -315,59 +248,54 @@ fn run_one_phase(
                 pf.seed
             )));
         }
-        let session = resume_session(registry, &cp)?;
-        let skipped = source.skip_events(cp.events_consumed).map_err(source_err)?;
-        if skipped != cp.events_consumed {
-            return Err(EngineError::Phase(format!(
-                "phase {}: stream has only {skipped} of the {} events its checkpoint consumed",
-                entry.rep_slice, cp.events_consumed
-            )));
-        }
-        (session, true, 0)
+        Some(cp)
     } else {
-        let model = registry.build(model_spec, pf.seed)?;
-        let threads = resolve_threads(None, source.thread_count());
-        let mut session = OwnedSession::new(
-            model,
-            protection,
-            SessionOptions {
-                warmup: Warmup::Branches(0),
-                threads,
-                interval: None,
-                workload: None,
-            },
-        )?;
-        session.begin(source.name(), source.branch_hint())?;
-        // Warm over the half-slice preceding the representative (any
-        // branch position is a valid cut point, so the warm-up start
-        // needs no slice alignment), floored at the predictor warm-up
-        // horizon for small slices.
-        let warm_branches = (pf.slice_branches / 2)
-            .max(COLD_WARM_FLOOR_BRANCHES)
-            .min(entry.start_branch);
-        (session, false, warm_branches)
+        None
     };
-
-    let mut cursor = BranchCursor::new(source.as_mut());
-    if !warm {
-        cursor.advance(entry.start_branch - warm_branches, |_| Ok(()))?;
-        cursor.advance(warm_branches, |chunk| {
-            session.feed_batch(chunk).map_err(EngineError::from)
-        })?;
-    }
-    let before = snapshot(&session);
-    cursor.advance(entry.rep_branches, |chunk| {
-        session.feed_batch(chunk).map_err(EngineError::from)
-    })?;
-    let after = snapshot(&session);
+    let start = match &cp {
+        Some(cp) => RangeStart::At(cp),
+        None => RangeStart::Fresh {
+            warmup: Warmup::Branches(0),
+            interval: None,
+            threads: None,
+        },
+    };
+    let mut run = RangeRun::open(
+        registry,
+        model_spec,
+        protection,
+        pf.seed,
+        base,
+        pf.total_branches as usize,
+        start,
+    )?;
+    // A cold start warms over the half-slice preceding the representative
+    // (any branch position is a valid cut point, so the warm-up start
+    // needs no slice alignment), floored at the predictor warm-up horizon
+    // for small slices; the prefix before it is skipped, not simulated.
+    let warm_branches = match cp {
+        Some(_) => 0,
+        None => {
+            let n = (pf.slice_branches / 2)
+                .max(COLD_WARM_FLOOR_BRANCHES)
+                .min(entry.start_branch);
+            run.advance(entry.start_branch - n, false)?;
+            run.advance(n, true)?;
+            n
+        }
+    };
+    // A stream that ends early shows up as a short measured delta below.
+    let before = snapshot(run.model());
+    run.advance(entry.rep_branches, true)?;
+    let after = snapshot(run.model());
     let d = delta(&before, &after);
     if d.branches != entry.rep_branches {
         return Err(EngineError::Phase(format!(
-            "phase {}: measured {} branches, expected {}",
+            "phase {}: measured {} branches, expected {} (the stream ended early)",
             entry.rep_slice, d.branches, entry.rep_branches
         )));
     }
-    Ok((d, warm, warm_branches))
+    Ok((d, cp.is_some(), warm_branches))
 }
 
 /// Runs `model_spec` under `protection` over a [`Workload::Phases`]
@@ -649,6 +577,30 @@ mod tests {
         match err {
             EngineError::Phase(msg) => assert!(msg.contains("was cut for"), "{msg}"),
             other => panic!("expected Phase error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn embedded_checkpoint_past_the_stream_end_is_a_checkpoint_error() {
+        let reg = registry();
+        let wl = Workload::Named("541.leela".to_string());
+        let opts = PhaseBuildOptions {
+            slice_branches: 2_000,
+            cluster: ClusterConfig::default(),
+            embed: Some(("st_skl@r=0.05".to_string(), Protection::Stbpu)),
+        };
+        let mut pf = build_phase_file(&reg, 5, &wl, 8_000, &opts).unwrap();
+        for entry in &mut pf.phases {
+            let mut cp = Checkpoint::from_bytes(&entry.checkpoint).unwrap();
+            cp.events_consumed += 1_000_000;
+            entry.checkpoint = cp.to_bytes();
+        }
+        let phased = Workload::phases(pf, None).unwrap();
+        match run_phases(&reg, "st_skl@r=0.05", Protection::Stbpu, &phased).unwrap_err() {
+            EngineError::Checkpoint(msg) => {
+                assert!(msg.contains("events the checkpoint consumed"), "{msg}")
+            }
+            other => panic!("expected a Checkpoint error, got {other:?}"),
         }
     }
 

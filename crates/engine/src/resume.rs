@@ -1,5 +1,13 @@
-//! Kill/resume support for grid runs: the completed-suite log and the
-//! checkpointable cell runner behind `Experiment::checkpoint_dir`.
+//! The checkpoint-range runner every engine path shares, plus kill/resume
+//! support for grid runs: the completed-suite log and the checkpointable
+//! cell runner behind `Experiment::checkpoint_dir`.
+//!
+//! [`RangeRun`] is the single open / skip / advance primitive: it opens a
+//! session fresh or at a [`Checkpoint`] (repositioning the stream past
+//! the events the checkpoint consumed), advances by exact branch counts,
+//! and captures or finishes. Sequential and sharded runs, checkpoint
+//! cutting, [`resume_to_end`], grid cells and phase slices are thin
+//! callers of it.
 //!
 //! A checkpointed grid run persists two kinds of state:
 //!
@@ -18,21 +26,22 @@
 //!   series must equal the uninterrupted one.
 //!
 //! On resume, suites present in the log are skipped outright; a live cell
-//! checkpoint warm-starts its cell via [`crate::resume_session`] +
-//! [`stbpu_trace::EventSource::skip_events`]. Both paths are
+//! checkpoint warm-starts its cell through [`RangeRun`]. Both paths are
 //! bit-identical to never having been killed (test- and CI-enforced).
 
 use crate::error::EngineError;
 use crate::experiment::{RunRecord, Scenario};
 use crate::minijson::{escape, Json};
+use crate::model_core::ModelCore;
 use crate::registry::ModelRegistry;
 use crate::report::protection_from_str;
-use crate::shard::resume_session;
 use crate::workload::Workload;
-use stbpu_sim::{Checkpoint, IntervalWindow, OwnedSession, SessionOptions, SimReport, Warmup};
+use stbpu_bpu::StateReader;
+use stbpu_sim::{
+    Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport, Warmup,
+};
+use stbpu_trace::{EventSource, TraceEvent};
 use std::path::{Path, PathBuf};
-/// Batch size for the cell feed loop (matches the session's pull size).
-const CELL_BATCH: usize = 4_096;
 
 /// In-flight checkpoint path for one cell of the grid.
 pub(crate) fn cell_path(dir: &Path, suite: usize, scenario: usize) -> PathBuf {
@@ -194,8 +203,246 @@ pub(crate) fn suite_from_json_line(line: &str) -> Option<(usize, Vec<RunRecord>)
     Some((suite, records))
 }
 
-fn src_err(e: stbpu_trace::SourceError) -> EngineError {
+/// Events pulled per source refill (matches the session's own pull size).
+const BATCH: usize = 4_096;
+
+pub(crate) fn source_err(e: stbpu_trace::SourceError) -> EngineError {
     EngineError::WorkloadSource(e.to_string())
+}
+
+pub(crate) fn ckpt_err(e: stbpu_sim::CheckpointError) -> EngineError {
+    EngineError::Checkpoint(e.to_string())
+}
+
+/// Resolves the effective thread provision the way the CLI does: explicit
+/// request, else the source's declared count (0 = unknown → `None`, the
+/// model maximum).
+pub(crate) fn resolve_threads(explicit: Option<usize>, declared: usize) -> Option<usize> {
+    explicit.or(match declared {
+        0 => None,
+        t => Some(t),
+    })
+}
+
+/// Where a [`RangeRun`] starts.
+#[derive(Clone, Copy)]
+pub(crate) enum RangeStart<'c> {
+    /// Branch 0 of a fresh session. `threads: None` takes the source's
+    /// declared count, falling back to the model maximum.
+    Fresh {
+        warmup: Warmup,
+        interval: Option<u64>,
+        threads: Option<usize>,
+    },
+    /// The exact state a checkpoint cut for the same model spec,
+    /// protection and seed captured, with the stream repositioned past
+    /// the events it consumed.
+    At(&'c Checkpoint),
+}
+
+/// One simulation over a contiguous range of a workload's stream — the
+/// single open / skip / advance path behind sequential runs, both shard
+/// passes, [`resume_to_end`], crash-resumable grid cells and phase
+/// slices. Pulled batches survive across calls, so consecutive
+/// [`RangeRun::advance`] calls split the stream exactly at the branch
+/// that reaches each target without losing the remainder.
+pub(crate) struct RangeRun<'a> {
+    session: OwnedSession<ModelCore>,
+    source: Box<dyn EventSource + 'a>,
+    buf: Vec<TraceEvent>,
+    /// `buf[lo..]` is pulled but not yet consumed.
+    lo: usize,
+    /// Stream position: events consumed since the start of the stream,
+    /// skipped prefix included — the skip count a checkpoint records.
+    events_fed: u64,
+    model_spec: &'a str,
+    seed: u64,
+}
+
+impl<'a> RangeRun<'a> {
+    /// Builds `model_spec` with `seed`, opens `workload`'s stream and a
+    /// session under `protection`, and positions both at `start`.
+    ///
+    /// # Errors
+    ///
+    /// Registry, workload and session errors; [`EngineError::Checkpoint`]
+    /// for a blob that does not fit the model or a stream shorter than
+    /// the checkpoint's consumed-event count.
+    pub(crate) fn open(
+        registry: &ModelRegistry,
+        model_spec: &'a str,
+        protection: Protection,
+        seed: u64,
+        workload: &'a Workload,
+        branches: usize,
+        start: RangeStart<'_>,
+    ) -> Result<Self, EngineError> {
+        let model = registry.build(model_spec, seed)?;
+        let mut source = workload.open(seed, branches)?;
+        let opts = match start {
+            RangeStart::Fresh {
+                warmup,
+                interval,
+                threads,
+            } => SessionOptions {
+                warmup,
+                threads: resolve_threads(threads, source.thread_count()),
+                interval,
+                workload: None,
+            },
+            // The session blob leads with its thread provision; peek it so
+            // the session opens with matching geometry. Applying the
+            // checkpoint restores everything else.
+            RangeStart::At(cp) => SessionOptions {
+                warmup: Warmup::Branches(0),
+                threads: Some(
+                    StateReader::new(&cp.session_state)
+                        .usize()
+                        .map_err(|e| EngineError::Checkpoint(format!("state snapshot: {e}")))?,
+                ),
+                interval: None,
+                workload: None,
+            },
+        };
+        let mut session = OwnedSession::new(model, protection, opts)?;
+        let events_fed = match start {
+            RangeStart::Fresh { .. } => {
+                session.begin(source.name(), source.branch_hint())?;
+                0
+            }
+            RangeStart::At(cp) => {
+                cp.apply(&mut session).map_err(ckpt_err)?;
+                let skipped = source.skip_events(cp.events_consumed).map_err(source_err)?;
+                if skipped != cp.events_consumed {
+                    return Err(EngineError::Checkpoint(format!(
+                        "stream '{}' has only {skipped} of the {} events the checkpoint consumed",
+                        source.name(),
+                        cp.events_consumed
+                    )));
+                }
+                skipped
+            }
+        };
+        Ok(RangeRun {
+            session,
+            source,
+            buf: Vec::new(),
+            lo: 0,
+            events_fed,
+            model_spec,
+            seed,
+        })
+    }
+
+    /// Consumes events until `n_branches` branch events have passed or the
+    /// stream ends, returning how many branches passed. A pulled batch is
+    /// split right after the branch that reaches the count; trailing
+    /// non-branch events stay buffered for the next call. With `simulate`
+    /// false the events are skipped, not fed to the model.
+    ///
+    /// # Errors
+    ///
+    /// Source and simulation failures.
+    pub(crate) fn advance(&mut self, n_branches: u64, simulate: bool) -> Result<u64, EngineError> {
+        let mut got = 0u64;
+        while got < n_branches {
+            if self.lo >= self.buf.len() {
+                self.lo = 0;
+                if self
+                    .source
+                    .next_batch(&mut self.buf, BATCH)
+                    .map_err(source_err)?
+                    == 0
+                {
+                    break;
+                }
+            }
+            let rest = self.buf.get(self.lo..).unwrap_or_default();
+            let mut take = 0usize;
+            for ev in rest {
+                if got == n_branches {
+                    break;
+                }
+                got += u64::from(matches!(ev, TraceEvent::Branch { .. }));
+                take += 1;
+            }
+            let chunk = rest.get(..take).unwrap_or_default();
+            if simulate {
+                self.session.feed_batch(chunk)?;
+            }
+            self.events_fed += take as u64;
+            self.lo += take;
+        }
+        Ok(got)
+    }
+
+    /// Simulates the rest of the stream.
+    ///
+    /// # Errors
+    ///
+    /// Source and simulation failures.
+    pub(crate) fn run_to_end(&mut self) -> Result<(), EngineError> {
+        self.advance(u64::MAX, true).map(|_| ())
+    }
+
+    /// Branch events simulated so far, warm-up and any checkpointed
+    /// prefix included.
+    pub(crate) fn branches_seen(&self) -> u64 {
+        self.session.branches_seen()
+    }
+
+    /// The model, for mid-stream counter reads.
+    pub(crate) fn model(&self) -> &ModelCore {
+        self.session.model()
+    }
+
+    /// Drains the interval windows closed since the last call.
+    pub(crate) fn take_intervals(&mut self) -> Vec<IntervalWindow> {
+        self.session.take_intervals()
+    }
+
+    /// Snapshots the session at the current stream position.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Checkpoint`] when the model has no snapshot support.
+    pub(crate) fn checkpoint(&self) -> Result<Checkpoint, EngineError> {
+        Checkpoint::capture(&self.session, self.model_spec, self.seed, self.events_fed)
+            .map_err(ckpt_err)
+    }
+
+    /// Ends the run: the final report and the interval backlog.
+    pub(crate) fn finish(self) -> (SimReport, Vec<IntervalWindow>) {
+        self.session.finish_with_intervals()
+    }
+}
+
+/// Resumes from `cp` over a fresh stream of `workload` (opened with the
+/// checkpoint's seed) and runs it to exhaustion, returning the final
+/// report and interval backlog — bit-identical to never having stopped.
+///
+/// # Errors
+///
+/// Registry, source and simulation failures, and
+/// [`EngineError::Checkpoint`] for a blob that does not fit its model or a
+/// stream shorter than the checkpoint's consumed-event count.
+pub fn resume_to_end(
+    registry: &ModelRegistry,
+    cp: &Checkpoint,
+    workload: &Workload,
+    branches: usize,
+) -> Result<(SimReport, Vec<IntervalWindow>), EngineError> {
+    let mut run = RangeRun::open(
+        registry,
+        &cp.model_spec,
+        cp.protection,
+        cp.seed,
+        workload,
+        branches,
+        RangeStart::At(cp),
+    )?;
+    run.run_to_end()?;
+    Ok(run.finish())
 }
 
 /// Runs one grid cell with periodic in-flight checkpointing, resuming
@@ -222,68 +469,37 @@ pub(crate) fn run_cell(
     cell: &Path,
     checkpoint_every: u64,
 ) -> Result<RunRecord, EngineError> {
-    let mut source = workload.open(seed, branches)?;
-
     // A valid in-flight checkpoint for exactly this cell warm-starts it;
     // anything stale or mismatched is ignored and the cell runs fresh.
     let resumable = Checkpoint::load(cell).ok().filter(|cp| {
         cp.model_spec == sc.model && cp.seed == seed && cp.protection == sc.protection
     });
-    let (mut session, mut events_fed) = match resumable {
-        Some(cp) => {
-            let s = resume_session(registry, &cp)?;
-            let skipped = source.skip_events(cp.events_consumed).map_err(src_err)?;
-            if skipped != cp.events_consumed {
-                return Err(EngineError::Checkpoint(format!(
-                    "cell checkpoint consumed {} events but its stream has only {skipped}",
-                    cp.events_consumed
-                )));
-            }
-            (s, cp.events_consumed)
-        }
-        None => {
-            let model = registry.build(&sc.model, seed)?;
-            let threads = threads.or(match source.thread_count() {
-                0 => None,
-                t => Some(t),
-            });
-            let mut s: OwnedSession<crate::ModelCore> = OwnedSession::new(
-                model,
-                sc.protection,
-                SessionOptions {
-                    warmup,
-                    threads,
-                    interval,
-                    workload: None,
-                },
-            )?;
-            s.begin(source.name(), source.branch_hint())?;
-            (s, 0u64)
-        }
+    let start = match &resumable {
+        Some(cp) => RangeStart::At(cp),
+        None => RangeStart::Fresh {
+            warmup,
+            interval,
+            threads,
+        },
     };
-
-    let mut buf = Vec::new();
-    let mut last_saved = session.branches_seen();
-    let mut every = checkpoint_every.max(1);
-    loop {
-        let n = source.next_batch(&mut buf, CELL_BATCH).map_err(src_err)?;
-        if n == 0 {
-            break;
-        }
-        session.feed_batch(&buf)?;
-        events_fed += n as u64;
-        if session.branches_seen().saturating_sub(last_saved) >= every {
-            match Checkpoint::capture(&session, &sc.model, seed, events_fed) {
-                Ok(cp) => {
-                    cp.save(cell)
-                        .map_err(|e| EngineError::Checkpoint(e.to_string()))?;
-                    last_saved = session.branches_seen();
-                }
-                Err(_) => every = u64::MAX,
-            }
+    let mut run = RangeRun::open(
+        registry,
+        &sc.model,
+        sc.protection,
+        seed,
+        workload,
+        branches,
+        start,
+    )?;
+    let every = checkpoint_every.max(1);
+    while run.advance(every, true)? == every {
+        match run.checkpoint() {
+            Ok(cp) => cp.save(cell).map_err(ckpt_err)?,
+            Err(_) => break, // no snapshot support: finish uncheckpointed
         }
     }
-    let (report, intervals) = session.finish_with_intervals();
+    run.run_to_end()?;
+    let (report, intervals) = run.finish();
     Ok(RunRecord {
         workload: workload.label(),
         model_spec: sc.model.clone(),
@@ -345,6 +561,32 @@ mod tests {
             b.report.direction_rate.to_bits()
         );
         assert_eq!(a.intervals, b.intervals);
+    }
+
+    #[test]
+    fn stream_shorter_than_its_checkpoint_is_a_checkpoint_error() {
+        let reg = ModelRegistry::standard();
+        let wl = Workload::Named("541.leela".to_string());
+        let cps = crate::cut_checkpoints(
+            &reg,
+            "st_skl",
+            Protection::Stbpu,
+            4,
+            &wl,
+            16_000,
+            Warmup::Branches(0),
+            None,
+            None,
+            &[12_000],
+        )
+        .unwrap();
+        // A 6k-branch stream cannot supply the events a 12k-branch cut consumed.
+        match resume_to_end(&reg, &cps[0], &wl, 6_000).unwrap_err() {
+            EngineError::Checkpoint(msg) => {
+                assert!(msg.contains("events the checkpoint consumed"), "{msg}")
+            }
+            other => panic!("expected a Checkpoint error, got {other:?}"),
+        }
     }
 
     #[test]

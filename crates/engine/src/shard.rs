@@ -14,10 +14,17 @@
 //! 2. **Pass 2 (parallel):** simulate the `N` shards concurrently, shard
 //!    `k > 0` warm-started from checkpoint `k-1` (session bookkeeping and
 //!    full model state restored bit-exactly, stream repositioned via
-//!    [`EventSource::skip_events`]). Shard `k < N-1` re-derives the state
-//!    at its right boundary and the driver byte-compares it against
-//!    checkpoint `k` — a *handoff verification* that turns any
-//!    serialization gap into a hard error instead of silent drift.
+//!    [`stbpu_trace::EventSource::skip_events`]). Shard `k < N-1` stops
+//!    by branch count at `T_k`, exactly as pass 1 did, and the driver
+//!    compares the re-derived boundary checkpoint against checkpoint `k`
+//!    — stream position and state bytes alike. This *handoff
+//!    verification* turns any serialization gap into a hard error
+//!    instead of silent drift.
+//!
+//! Both passes, like every other checkpoint-range run in the engine, go
+//! through the one open / skip / advance path in `resume.rs`
+//! (`RangeRun`), so a cut here lands where resume, grid-cell and
+//! phase-slice runs expect it.
 //!
 //! The final report comes from shard `N-1` (model statistics are part of
 //! the transported state, so its `finish` sees exactly what a sequential
@@ -38,16 +45,11 @@
 use crate::error::EngineError;
 use crate::parallel::parallel_map;
 use crate::registry::ModelRegistry;
+use crate::resume::{ckpt_err, resolve_threads, RangeRun, RangeStart};
 use crate::workload::Workload;
-use stbpu_sim::{
-    Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport, Warmup,
-};
+use stbpu_sim::{Checkpoint, IntervalWindow, Protection, SimReport, Warmup};
 use stbpu_trace::binfmt::fnv1a64;
-use stbpu_trace::{EventSource, TraceEvent};
 use std::path::{Path, PathBuf};
-
-/// Batch size for shard feeding (matches the session's own pull size).
-const SHARD_BATCH: usize = 4_096;
 
 /// Most shards a single run may request. Generous — the point is to catch
 /// garbage input (`--shards 0`, `--shards 1e9`), not to size clusters.
@@ -98,71 +100,12 @@ pub struct ShardRun {
 }
 
 /// What one pass-2 worker hands back to the driver.
-struct SegmentOut {
-    intervals: Vec<IntervalWindow>,
-    /// `(session_state, model_state, branches_seen)` at the shard's right
-    /// boundary — `Some` for every shard but the last.
-    end_state: Option<(Vec<u8>, Vec<u8>, u64)>,
-    /// The final report — `Some` only for the last shard.
-    report: Option<SimReport>,
-}
-
-fn source_err(e: stbpu_trace::SourceError) -> EngineError {
-    EngineError::WorkloadSource(e.to_string())
-}
-
-fn ckpt_err(e: stbpu_sim::CheckpointError) -> EngineError {
-    EngineError::Checkpoint(e.to_string())
-}
-
-/// Feeds exactly `left` events from `source` into `session`, erroring if
-/// the stream ends first.
-fn feed_exact<B: stbpu_bpu::Bpu>(
-    session: &mut OwnedSession<B>,
-    source: &mut dyn EventSource,
-    mut left: u64,
-) -> Result<(), EngineError> {
-    let mut buf = Vec::new();
-    while left > 0 {
-        let max = left.min(SHARD_BATCH as u64) as usize;
-        let n = source.next_batch(&mut buf, max).map_err(source_err)?;
-        if n == 0 {
-            return Err(EngineError::Shard(format!(
-                "stream ended {left} events before its shard boundary"
-            )));
-        }
-        session.feed_batch(&buf)?;
-        left -= n as u64;
-    }
-    Ok(())
-}
-
-/// Feeds `source` to exhaustion.
-fn feed_to_end<B: stbpu_bpu::Bpu>(
-    session: &mut OwnedSession<B>,
-    source: &mut dyn EventSource,
-) -> Result<(), EngineError> {
-    let mut buf = Vec::new();
-    loop {
-        if source
-            .next_batch(&mut buf, SHARD_BATCH)
-            .map_err(source_err)?
-            == 0
-        {
-            return Ok(());
-        }
-        session.feed_batch(&buf)?;
-    }
-}
-
-/// Resolves the effective thread provision the way the CLI does: explicit
-/// request, else the source's declared count (0 = unknown → `None`, the
-/// model maximum).
-pub(crate) fn resolve_threads(explicit: Option<usize>, declared: usize) -> Option<usize> {
-    explicit.or(match declared {
-        0 => None,
-        t => Some(t),
-    })
+enum Segment {
+    /// An inner shard: its windows and the state it re-derived at its
+    /// right boundary, for handoff verification.
+    Inner(Vec<IntervalWindow>, Checkpoint),
+    /// The last shard: its windows and the final report.
+    Last(Vec<IntervalWindow>, SimReport),
 }
 
 /// Plain sequential run through the same session machinery the shard
@@ -183,21 +126,21 @@ pub fn run_sequential(
     interval: Option<u64>,
     threads: Option<usize>,
 ) -> Result<(SimReport, Vec<IntervalWindow>), EngineError> {
-    let model = registry.build(model_spec, seed)?;
-    let mut source = workload.open(seed, branches)?;
-    let threads = resolve_threads(threads, source.thread_count());
-    let mut session = OwnedSession::new(
-        model,
+    let mut run = RangeRun::open(
+        registry,
+        model_spec,
         protection,
-        SessionOptions {
+        seed,
+        workload,
+        branches,
+        RangeStart::Fresh {
             warmup,
-            threads,
             interval,
-            workload: None,
+            threads,
         },
     )?;
-    session.run(source.as_mut())?;
-    Ok(session.finish_with_intervals())
+    run.run_to_end()?;
+    Ok(run.finish())
 }
 
 /// Pass 1: one sequential fast-forward over the stream, capturing a
@@ -222,59 +165,32 @@ pub fn cut_checkpoints(
     seed: u64,
     workload: &Workload,
     branches: usize,
-    cfg: &ShardConfig,
+    warmup: Warmup,
+    interval: Option<u64>,
+    threads: Option<usize>,
     targets: &[u64],
 ) -> Result<Vec<Checkpoint>, EngineError> {
-    let model = registry.build(model_spec, seed)?;
-    let mut source = workload.open(seed, branches)?;
-    let threads = resolve_threads(cfg.threads, source.thread_count());
-    let mut session = OwnedSession::new(
-        model,
+    let mut run = RangeRun::open(
+        registry,
+        model_spec,
         protection,
-        SessionOptions {
-            warmup: cfg.warmup,
+        seed,
+        workload,
+        branches,
+        RangeStart::Fresh {
+            warmup,
+            interval,
             threads,
-            interval: cfg.interval,
-            workload: None,
         },
     )?;
-    session.begin(source.name(), source.branch_hint())?;
-
-    let mut cps = Vec::with_capacity(targets.len());
-    let mut buf: Vec<TraceEvent> = Vec::new();
-    let mut lo = 0usize;
-    let mut events_fed = 0u64;
-    for &target in targets {
-        'reach: while session.branches_seen() < target {
-            if lo >= buf.len() {
-                lo = 0;
-                if source
-                    .next_batch(&mut buf, SHARD_BATCH)
-                    .map_err(source_err)?
-                    == 0
-                {
-                    break 'reach; // stream shorter than its hint
-                }
-            }
-            // Split the buffered batch at the branch that reaches the
-            // target; anything after it belongs to the next shard.
-            let need = target - session.branches_seen();
-            let mut hi = lo;
-            let mut got = 0u64;
-            while hi < buf.len() && got < need {
-                if matches!(buf[hi], TraceEvent::Branch { .. }) {
-                    got += 1;
-                }
-                hi += 1;
-            }
-            session.feed_batch(&buf[lo..hi])?;
-            events_fed += (hi - lo) as u64;
-            lo = hi;
-        }
-        let _ = session.take_intervals();
-        cps.push(Checkpoint::capture(&session, model_spec, seed, events_fed).map_err(ckpt_err)?);
-    }
-    Ok(cps)
+    targets
+        .iter()
+        .map(|&target| {
+            run.advance(target.saturating_sub(run.branches_seen()), true)?;
+            let _ = run.take_intervals();
+            run.checkpoint()
+        })
+        .collect()
 }
 
 /// The canonical configuration key a checkpoint cache entry is filed
@@ -341,10 +257,9 @@ fn load_cached(
     Some(cps)
 }
 
-/// Runs one pass-2 segment: warm-start (or fresh-start for shard 0),
-/// feed exactly the shard's event span, and hand back the windows plus
-/// either the boundary state (inner shards) or the final report (last
-/// shard).
+/// Runs one pass-2 segment: fresh-start shard 0 or warm-start shard `k`
+/// from boundary checkpoint `k - 1`, then advance to the branch target
+/// pass 1 cut at (inner shards) or to the end of the stream (the last).
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
     k: usize,
@@ -356,64 +271,33 @@ fn run_segment(
     branches: usize,
     cfg: &ShardConfig,
     checkpoints: &[Checkpoint],
-    cuts: &[u64],
-) -> Result<SegmentOut, EngineError> {
-    let last = cfg.shards - 1;
-    let model = registry.build(model_spec, seed)?;
-    let mut source = workload.open(seed, branches)?;
-    let threads = resolve_threads(cfg.threads, source.thread_count());
-    let mut session = OwnedSession::new(
-        model,
-        protection,
-        SessionOptions {
-            warmup: if k == 0 {
-                cfg.warmup
-            } else {
-                Warmup::Branches(0)
-            },
-            threads,
+    targets: &[u64],
+) -> Result<Segment, EngineError> {
+    let start = match k.checked_sub(1) {
+        None => RangeStart::Fresh {
+            warmup: cfg.warmup,
             interval: cfg.interval,
-            workload: None,
+            threads: cfg.threads,
         },
+        Some(prev) => RangeStart::At(&checkpoints[prev]),
+    };
+    let mut run = RangeRun::open(
+        registry, model_spec, protection, seed, workload, branches, start,
     )?;
-
-    if k == 0 {
-        session.begin(source.name(), source.branch_hint())?;
-    } else {
-        let cp = &checkpoints[k - 1];
-        cp.apply(&mut session).map_err(ckpt_err)?;
-        // The checkpoint's retained-window list is empty by construction
-        // (pass 1 drains before capture); drain defensively anyway so the
-        // end-state comparison below can never be polluted by it.
-        let _ = session.take_intervals();
-        let skipped = source.skip_events(cp.events_consumed).map_err(source_err)?;
-        if skipped != cp.events_consumed {
-            return Err(EngineError::Shard(format!(
-                "shard {k}: stream has only {skipped} of the {} events its checkpoint consumed",
-                cp.events_consumed
-            )));
+    // Pass 1 drains the retained windows before every capture, so a
+    // boundary blob carries none; drain defensively anyway so the
+    // end-state comparison can never be polluted by one.
+    let _ = run.take_intervals();
+    match targets.get(k) {
+        Some(&target) => {
+            run.advance(target.saturating_sub(run.branches_seen()), true)?;
+            Ok(Segment::Inner(run.take_intervals(), run.checkpoint()?))
         }
-    }
-
-    if k == last {
-        feed_to_end(&mut session, source.as_mut())?;
-        let (report, intervals) = session.finish_with_intervals();
-        Ok(SegmentOut {
-            intervals,
-            end_state: None,
-            report: Some(report),
-        })
-    } else {
-        let lo = if k == 0 { 0 } else { cuts[k - 1] };
-        feed_exact(&mut session, source.as_mut(), cuts[k] - lo)?;
-        let intervals = session.take_intervals();
-        let seen = session.branches_seen();
-        let end = Checkpoint::capture(&session, model_spec, seed, cuts[k]).map_err(ckpt_err)?;
-        Ok(SegmentOut {
-            intervals,
-            end_state: Some((end.session_state, end.model_state, seen)),
-            report: None,
-        })
+        None => {
+            run.run_to_end()?;
+            let (report, intervals) = run.finish();
+            Ok(Segment::Last(intervals, report))
+        }
     }
 }
 
@@ -497,7 +381,16 @@ pub fn run_sharded(
         }
         None => {
             let cps = cut_checkpoints(
-                registry, model_spec, protection, seed, workload, branches, cfg, &targets,
+                registry,
+                model_spec,
+                protection,
+                seed,
+                workload,
+                branches,
+                cfg.warmup,
+                cfg.interval,
+                cfg.threads,
+                &targets,
             )?;
             if let Some(dir) = cfg.checkpoint_dir.as_deref() {
                 std::fs::create_dir_all(dir).map_err(|e| EngineError::Checkpoint(e.to_string()))?;
@@ -528,32 +421,36 @@ pub fn run_sharded(
             branches,
             cfg,
             &checkpoints,
-            &cuts,
+            &targets,
         )
     });
 
     let mut intervals = Vec::new();
     let mut report = None;
     for (k, res) in results.into_iter().enumerate() {
-        let out = res?;
-        if let Some((session_state, model_state, seen)) = out.end_state {
-            // Handoff verification: the re-derived boundary state must be
-            // byte-for-byte the state pass 1 handed to shard k + 1.
-            let cp = &checkpoints[k];
-            if seen != cp.branches_seen
-                || session_state != cp.session_state
-                || model_state != cp.model_state
-            {
-                return Err(EngineError::Shard(format!(
-                    "shard {k} handoff diverged from its boundary checkpoint \
-                     (re-derived state at branch {seen} != checkpointed state at branch {})",
-                    cp.branches_seen
-                )));
+        match res? {
+            Segment::Inner(windows, end) => {
+                // Handoff verification: the re-derived boundary — stream
+                // position and state bytes — must be exactly what pass 1
+                // handed to shard k + 1.
+                let cp = &checkpoints[k];
+                if end != *cp {
+                    return Err(EngineError::Shard(format!(
+                        "shard {k} handoff diverged from its boundary checkpoint (re-derived \
+                         state at event {} / branch {} != checkpointed state at event {} / \
+                         branch {})",
+                        end.events_consumed,
+                        end.branches_seen,
+                        cp.events_consumed,
+                        cp.branches_seen
+                    )));
+                }
+                intervals.extend(windows);
             }
-        }
-        intervals.extend(out.intervals);
-        if out.report.is_some() {
-            report = out.report;
+            Segment::Last(windows, last) => {
+                intervals.extend(windows);
+                report = Some(last);
+            }
         }
     }
     let report = report
@@ -564,67 +461,6 @@ pub fn run_sharded(
         cuts,
         cache_hits,
     })
-}
-
-/// Rebuilds a live session from a checkpoint: model from the registry
-/// (per the checkpoint's spec and seed), session opened under the
-/// checkpoint's protection with the blob's thread provision, then both
-/// state blobs applied. The caller repositions its stream with
-/// [`EventSource::skip_events`]`(cp.events_consumed)` and feeds on.
-///
-/// # Errors
-///
-/// Registry errors for an unknown spec; [`EngineError::Checkpoint`] for a
-/// corrupt or mismatched blob.
-pub fn resume_session(
-    registry: &ModelRegistry,
-    cp: &Checkpoint,
-) -> Result<OwnedSession<crate::ModelCore>, EngineError> {
-    // The session blob leads with its thread provision; peek it so the
-    // fresh session is opened with matching geometry.
-    let mut peek = stbpu_bpu::StateReader::new(&cp.session_state);
-    let threads = peek
-        .usize()
-        .map_err(|e| EngineError::Checkpoint(format!("state snapshot: {e}")))?;
-    let model = registry.build(&cp.model_spec, cp.seed)?;
-    let mut session = OwnedSession::new(
-        model,
-        cp.protection,
-        SessionOptions {
-            warmup: Warmup::Branches(0),
-            threads: Some(threads),
-            interval: None,
-            workload: None,
-        },
-    )?;
-    cp.apply(&mut session).map_err(ckpt_err)?;
-    Ok(session)
-}
-
-/// Resumes from `cp` and runs `source` (a fresh stream of the same
-/// workload, from its beginning) to exhaustion, returning the final
-/// report and interval backlog — bit-identical to never having stopped.
-///
-/// # Errors
-///
-/// [`resume_session`]'s errors, plus source and simulation failures and
-/// [`EngineError::Shard`] when the stream is shorter than the
-/// checkpoint's consumed-event count.
-pub fn resume_to_end(
-    registry: &ModelRegistry,
-    cp: &Checkpoint,
-    source: &mut dyn EventSource,
-) -> Result<(SimReport, Vec<IntervalWindow>), EngineError> {
-    let mut session = resume_session(registry, cp)?;
-    let skipped = source.skip_events(cp.events_consumed).map_err(source_err)?;
-    if skipped != cp.events_consumed {
-        return Err(EngineError::Shard(format!(
-            "stream has only {skipped} of the {} events the checkpoint consumed",
-            cp.events_consumed
-        )));
-    }
-    feed_to_end(&mut session, source)?;
-    Ok(session.finish_with_intervals())
 }
 
 #[cfg(test)]
@@ -807,12 +643,13 @@ mod tests {
             9,
             &wl,
             16_000,
-            &cfg(2, None),
+            Warmup::Fraction(0.1),
+            None,
+            None,
             &[8_000],
         )
         .unwrap();
-        let mut source = wl.open(9, 16_000).unwrap();
-        let (resumed, _) = resume_to_end(&reg, &cps[0], source.as_mut()).unwrap();
+        let (resumed, _) = crate::resume_to_end(&reg, &cps[0], &wl, 16_000).unwrap();
         assert_eq!(resumed, seq);
     }
 }

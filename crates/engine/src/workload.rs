@@ -265,6 +265,7 @@ mod tests {
         let mut src = w.open(0, 0).unwrap();
         assert_eq!(src.branch_hint(), Some(300));
         assert_eq!(src.collect_trace().unwrap().events(), t.events());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

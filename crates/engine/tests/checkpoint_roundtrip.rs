@@ -6,20 +6,10 @@
 //! come back as a positioned [`CheckpointError`].
 
 use proptest::prelude::*;
-use stbpu_engine::{cut_checkpoints, run_sequential, ModelRegistry, ShardConfig, Workload};
+use stbpu_engine::{cut_checkpoints, run_sequential, ModelRegistry, Workload};
 use stbpu_sim::{Checkpoint, Protection, Warmup};
 
 const BRANCHES: usize = 3_000;
-
-fn cfg() -> ShardConfig {
-    ShardConfig {
-        shards: 1, // unused by cut_checkpoints
-        warmup: Warmup::Branches(0),
-        interval: None,
-        threads: None,
-        checkpoint_dir: None,
-    }
-}
 
 /// A protection policy each model actually runs under in the paper grid.
 fn policy_for(spec: &str) -> Protection {
@@ -48,7 +38,9 @@ fn roundtrip_resume(
         seed,
         workload,
         BRANCHES,
-        &cfg(),
+        Warmup::Branches(0),
+        None,
+        None,
         &[at],
     )
     .map_err(|e| e.to_string())?;
@@ -56,8 +48,7 @@ fn roundtrip_resume(
     // Through the real byte format, not just the in-memory struct.
     let back = Checkpoint::from_bytes(&cp.to_bytes()).map_err(|e| e.to_string())?;
     assert_eq!(back, cp, "{spec}: .stck round trip changed the checkpoint");
-    let mut source = workload.open(seed, BRANCHES).map_err(|e| e.to_string())?;
-    stbpu_engine::resume_to_end(registry, &back, source.as_mut()).map_err(|e| e.to_string())
+    stbpu_engine::resume_to_end(registry, &back, workload, BRANCHES).map_err(|e| e.to_string())
 }
 
 proptest! {
@@ -120,7 +111,9 @@ proptest! {
             seed % 100,
             &workload,
             BRANCHES,
-            &cfg(),
+            Warmup::Branches(0),
+        None,
+        None,
             &[1_500],
         )
         .expect("cutting the reference checkpoint");
@@ -149,7 +142,9 @@ proptest! {
             7,
             &workload,
             BRANCHES,
-            &cfg(),
+            Warmup::Branches(0),
+        None,
+        None,
             &[1_500],
         )
         .expect("cutting the reference checkpoint");
@@ -179,7 +174,9 @@ fn cut_lands_exactly_on_the_requested_branch() {
             3,
             &workload,
             BRANCHES,
-            &cfg(),
+            Warmup::Branches(0),
+            None,
+            None,
             &[at],
         )
         .unwrap();

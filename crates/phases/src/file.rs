@@ -493,12 +493,12 @@ mod tests {
 
     #[test]
     fn save_load_via_disk() {
-        let dir = std::env::temp_dir().join("stbp-test");
+        let dir = std::env::temp_dir().join(format!("stbp-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.stbp");
         let pf = sample();
         pf.save(&path).unwrap();
         assert_eq!(PhaseFile::load(&path).unwrap(), pf);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

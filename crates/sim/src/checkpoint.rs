@@ -474,13 +474,13 @@ mod tests {
 
     #[test]
     fn save_load_via_disk() {
-        let dir = std::env::temp_dir().join("stck-test");
+        let dir = std::env::temp_dir().join(format!("stck-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.stck");
         let cp = sample();
         cp.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! that block (`1 + gap` per branch event, i.e. the branch itself plus
 //! the straight-line instructions leading to it).
 //!
-//! Slice boundaries follow the shard-cut convention
-//! (`stbpu_engine::cut_checkpoints`): a slice closes immediately after
-//! the branch event that fills it, and trailing non-branch events belong
-//! to the next slice — so a slice's `(start_branch, start_event)`
+//! Slice boundaries follow the engine's checkpoint-cut rule (the one
+//! branch-exact advance behind `stbpu_engine::cut_checkpoints`, shard
+//! passes and phase slices): a slice closes immediately after the
+//! branch event that fills it, and trailing non-branch events belong to
+//! the next slice — so a slice's `(start_branch, start_event)`
 //! coordinates can seed both a warm checkpoint cut and a cold
 //! [`EventSource::skip_events`] reposition.
 //!

@@ -390,11 +390,42 @@ mod tests {
     use crate::binfmt::write_bin_trace;
     use crate::serialize::write_trace;
     use crate::{TraceGenerator, WorkloadProfile};
+    use std::path::PathBuf;
 
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("stbpu-file-test-{}", std::process::id()));
+    /// A path `name` inside a fresh directory of its own under the temp
+    /// dir; dropping it removes the directory and everything written there.
+    struct Scratch {
+        dir: PathBuf,
+        path: PathBuf,
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for Scratch {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("stbpu-file-test-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir.join(name)
+        Scratch {
+            path: dir.join(name),
+            dir,
+        }
     }
 
     #[test]
